@@ -1,5 +1,6 @@
 // Command pctables regenerates the paper's evaluation tables (Tables 2-8)
-// and the §5.2/§5.3 headline claims.
+// and the §5.2/§5.3 headline claims, plus the design-decision ablations
+// and the seed-sensitivity study.
 //
 // Usage:
 //
@@ -7,9 +8,12 @@
 //	pctables -table 4         # one table
 //	pctables -quick           # reduced sizes/trace for a fast smoke run
 //	pctables -seed 1 -trace 50000
+//	pctables -ablation -sensitivity
 //
 // Table 4 at the full paper sizes builds trees for up to ~25,000 rules
-// and takes minutes on one core; -quick caps sizes.
+// and takes minutes on one core; -quick caps sizes. Host performance of
+// the software engine is measured by benchmark/ (see benchmark/README.md),
+// not here.
 package main
 
 import (
@@ -19,7 +23,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/classbench"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -30,26 +33,10 @@ func main() {
 		quick       = flag.Bool("quick", false, "reduced sizes for a fast run")
 		ablation    = flag.Bool("ablation", false, "also print the design-decision ablations")
 		sensitivity = flag.Bool("sensitivity", false, "also print the seed-sensitivity study")
-		engineTbl   = flag.Bool("engine", false, "also print host flat-engine throughput (not a paper table)")
-		churn       = flag.Bool("churn", false, "also print classification throughput under sustained rule updates (not a paper table)")
-		cacheTbl    = flag.Bool("cache", false, "also print flow-cache hit-rate/throughput on locality-skewed traces (not a paper table)")
-		ingestTbl   = flag.Bool("ingest", false, "also print end-to-end ingest throughput, text vs binary framing (not a paper table)")
-		coldTbl     = flag.Bool("coldstart", false, "also print build-vs-image-restore cold-start latency (not a paper table)")
-		telemAddr   = flag.String("telemetry", "", "serve live /metrics, /debug/events and /debug/pprof on this host:port while tables run")
 	)
 	flag.Parse()
 
 	opts := bench.Options{Seed: *seed, TracePackets: *trace}
-	if *telemAddr != "" {
-		opts.Telemetry = telemetry.New()
-		srv, err := telemetry.Serve(*telemAddr, opts.Telemetry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "pctables:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics\n", srv.Addr())
-	}
 	ablN := 1500
 	if *quick {
 		opts.Sizes = []int{60, 150, 500, 1000}
@@ -60,19 +47,13 @@ func main() {
 		}
 	}
 
-	ingestSizes := []int(nil) // RunIngest default: 1k and 10k rules
-	coldSizes := []int(nil)   // RunColdStart default: 1k, 10k and 50k rules
-	if *quick {
-		ingestSizes = []int{500}
-		coldSizes = []int{500, 2000}
-	}
-	if err := run(*table, *ablation, *sensitivity, *engineTbl, *churn, *cacheTbl, *ingestTbl, *coldTbl, ablN, ingestSizes, coldSizes, opts); err != nil {
+	if err := run(*table, *ablation, *sensitivity, ablN, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "pctables:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table int, ablation, sensitivity, engineTbl, churn, cacheTbl, ingestTbl, coldTbl bool, ablN int, ingestSizes, coldSizes []int, opts bench.Options) error {
+func run(table int, ablation, sensitivity bool, ablN int, opts bench.Options) error {
 	needACL := table == 0 || table == 2 || table == 3 || table == 6 || table == 7 || table == 8
 	var rows []bench.ACL1Row
 	var err error
@@ -113,50 +94,6 @@ func run(table int, ablation, sensitivity, engineTbl, churn, cacheTbl, ingestTbl
 			return err
 		}
 		fmt.Println(bench.AblationTable(ab).Format())
-	}
-	if engineTbl {
-		fmt.Fprintln(os.Stderr, "measuring host flat-engine throughput...")
-		rows, err := bench.RunEngine(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.EngineTable(rows).Format())
-	}
-	if churn {
-		fmt.Fprintln(os.Stderr, "measuring classification under update churn...")
-		rows, err := bench.RunUpdateChurn(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.ChurnTable(rows).Format())
-	}
-	if cacheTbl {
-		fmt.Fprintln(os.Stderr, "measuring flow-cache throughput on locality-skewed traces...")
-		rows, err := bench.RunFlowCache(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.CacheTable(rows).Format())
-	}
-	if ingestTbl {
-		fmt.Fprintln(os.Stderr, "measuring end-to-end ingest throughput (text vs binary framing)...")
-		io := opts
-		io.Sizes = ingestSizes
-		rows, err := bench.RunIngest(io)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.IngestTable(rows).Format())
-	}
-	if coldTbl {
-		fmt.Fprintln(os.Stderr, "measuring cold start (build vs image restore)...")
-		co := opts
-		co.Sizes = coldSizes
-		rows, err := bench.RunColdStart(co)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.ColdStartTable(rows).Format())
 	}
 	if sensitivity {
 		fmt.Fprintln(os.Stderr, "running seed-sensitivity study...")

@@ -15,7 +15,7 @@ func TestRunSingleTables(t *testing.T) {
 	}
 	// Table 5 is constants-only; tables 2 and 4 exercise the builders.
 	for _, table := range []int{5, 2, 4} {
-		if err := run(table, false, false, false, false, false, false, false, 600, nil, nil, opts); err != nil {
+		if err := run(table, false, false, 600, opts); err != nil {
 			t.Fatalf("table %d: %v", table, err)
 		}
 	}
@@ -23,42 +23,7 @@ func TestRunSingleTables(t *testing.T) {
 
 func TestRunAblationFlag(t *testing.T) {
 	opts := bench.Options{Seed: 7, Sizes: []int{60}, TracePackets: 800}
-	if err := run(5, true, false, false, false, false, false, false, 400, nil, nil, opts); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunEngineFlag(t *testing.T) {
-	opts := bench.Options{Seed: 7, Sizes: []int{60}, TracePackets: 800}
-	if err := run(5, false, false, true, false, false, false, false, 600, nil, nil, opts); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunChurnFlag(t *testing.T) {
-	opts := bench.Options{Seed: 7, Sizes: []int{60}, TracePackets: 800}
-	if err := run(5, false, false, false, true, false, false, false, 600, nil, nil, opts); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunCacheFlag(t *testing.T) {
-	opts := bench.Options{Seed: 7, Sizes: []int{60}, TracePackets: 800}
-	if err := run(5, false, false, false, false, true, false, false, 600, nil, nil, opts); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunIngestFlag(t *testing.T) {
-	opts := bench.Options{Seed: 7, TracePackets: 800}
-	if err := run(5, false, false, false, false, false, true, false, 600, []int{200}, nil, opts); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunColdStartFlag(t *testing.T) {
-	opts := bench.Options{Seed: 7, TracePackets: 800}
-	if err := run(5, false, false, false, false, false, false, true, 600, nil, []int{200}, opts); err != nil {
+	if err := run(5, true, false, 400, opts); err != nil {
 		t.Fatal(err)
 	}
 }

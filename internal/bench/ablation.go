@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/classbench"
 	"repro/internal/core"
@@ -167,6 +168,20 @@ func RunAblations(opts Options, n int) (AblationResult, error) {
 			MeasurePPS(trace, func(t []rule.Packet) { ke.ClassifyBatch(t, out) }))
 	}
 	return res, nil
+}
+
+// MeasurePPS repeats classify over the trace until enough wall time has
+// elapsed for a stable packets/sec estimate. It is the one timing loop
+// shared by the ablation rows and cmd/pcsim's host-engine report.
+func MeasurePPS(trace []rule.Packet, classify func([]rule.Packet)) float64 {
+	const minDur = 30 * time.Millisecond
+	start := time.Now()
+	n := 0
+	for time.Since(start) < minDur {
+		classify(trace)
+		n += len(trace)
+	}
+	return float64(n) / time.Since(start).Seconds()
 }
 
 // AblationTable renders the ablation comparison.

@@ -19,7 +19,6 @@ import (
 	"repro/internal/rfc"
 	"repro/internal/sa1100"
 	"repro/internal/tcam"
-	"repro/internal/telemetry"
 )
 
 // Options parameterizes an experiment run.
@@ -38,10 +37,6 @@ type Options struct {
 	// trees always use the paper-table defaults (spfac 4, speed 1, binth 120).
 	Binth int
 	Spfac float64
-	// Telemetry, when non-nil, is attached to the engine handles the
-	// churn/cache/ingest measurements build, so a live /metrics scrape
-	// (pctables -telemetry) watches the runs as they happen.
-	Telemetry *telemetry.Recorder
 }
 
 func (o *Options) sanitize() {

@@ -221,57 +221,3 @@ func TestSeedSensitivity(t *testing.T) {
 		t.Error("sensitivity table malformed")
 	}
 }
-
-// TestRunEngine smoke-tests the host-engine measurement rows: both
-// modified algorithms plus both flat software baselines per size,
-// positive throughputs, and a renderable table.
-func TestRunEngine(t *testing.T) {
-	rows, err := RunEngine(Options{Sizes: []int{150}, TracePackets: 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4 (HiCuts + HyperCuts, modified + sw baselines)", len(rows))
-	}
-	for _, r := range rows {
-		if r.TreePPS <= 0 || r.EnginePPS <= 0 || r.ParallelPPS <= 0 {
-			t.Errorf("%s n=%d: non-positive throughput %+v", r.Algo, r.N, r)
-		}
-		if r.SpeedupX <= 0 {
-			t.Errorf("%s n=%d: non-positive speedup", r.Algo, r.N)
-		}
-		if r.BuildSeqMS < 0 || r.BuildParMS < 0 {
-			t.Errorf("%s n=%d: negative build time", r.Algo, r.N)
-		}
-	}
-	if s := EngineTable(rows).Format(); len(s) == 0 {
-		t.Error("empty engine table")
-	}
-}
-
-// TestRunUpdateChurn smoke-tests the sustained-update measurement: both
-// algorithms, positive rates, patch cost reported, and the packet-exact
-// patched-vs-recompile verification built into runChurn must hold.
-func TestRunUpdateChurn(t *testing.T) {
-	rows, err := RunUpdateChurn(Options{Sizes: []int{150}, TracePackets: 1500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2 (HiCuts + HyperCuts)", len(rows))
-	}
-	for _, r := range rows {
-		if r.QuiescentPPS <= 0 || r.ChurnPPS <= 0 {
-			t.Errorf("%s n=%d: non-positive throughput %+v", r.Algo, r.N, r)
-		}
-		if r.Updates <= 0 || r.UpdatesPerSec <= 0 || r.PatchMicros <= 0 {
-			t.Errorf("%s n=%d: empty update measurement %+v", r.Algo, r.N, r)
-		}
-		if r.RecompileMS < 0 {
-			t.Errorf("%s n=%d: negative recompile time", r.Algo, r.N)
-		}
-	}
-	if s := ChurnTable(rows).Format(); len(s) == 0 {
-		t.Error("empty churn table")
-	}
-}

@@ -105,8 +105,8 @@ func (t *Tree) Encode() (*Image, error) {
 // inside the 600-byte word. w must be zero-filled, as both call sites
 // (Encode's fresh words, encodeWord's explicit clear) guarantee: the
 // entries are OR-merged, not read-modify-masked. encodeInternalBitwise
-// keeps the offset-by-offset path as the differential oracle
-// (TestEncodeInternalByteIdentity pins byte identity).
+// (encodefast_test.go) keeps the offset-by-offset path as the
+// differential oracle (TestEncodeInternalByteIdentity pins byte identity).
 func encodeInternal(w []byte, n *Node) error {
 	for _, c := range n.Cuts {
 		w[2*c.Dim] = c.Mask
@@ -132,35 +132,6 @@ func encodeInternal(w []byte, n *Node) error {
 		b := off >> 3
 		v := binary.LittleEndian.Uint32(w[b : b+4])
 		binary.LittleEndian.PutUint32(w[b:b+4], v|e<<uint(off&7))
-	}
-	return nil
-}
-
-// encodeInternalBitwise is the original field-by-field bit-packing path,
-// kept as the differential oracle for the word-level fast path above.
-func encodeInternalBitwise(w []byte, n *Node) error {
-	for _, c := range n.Cuts {
-		setBits(w, uint(16*c.Dim), 8, uint64(c.Mask))
-		setBits(w, uint(16*c.Dim+8), 8, uint64(uint8(c.Shift)))
-	}
-	if len(n.Children) > MaxCuts {
-		return fmt.Errorf("core: node has %d children; word format caps at %d", len(n.Children), MaxCuts)
-	}
-	for i, c := range n.Children {
-		off := uint(nodeHeaderBits + i*cutEntryBits)
-		if c == nil {
-			return fmt.Errorf("core: nil child survived build; expected shared empty leaf")
-		}
-		typ := uint64(0)
-		if c.Leaf {
-			typ = 1
-		}
-		if c.Word >= 1<<PointerBits {
-			return fmt.Errorf("core: child word %d exceeds pointer field", c.Word)
-		}
-		setBits(w, off, 1, typ)
-		setBits(w, off+1, PointerBits, uint64(c.Word))
-		setBits(w, off+1+PointerBits, PosBits, uint64(c.Pos))
 	}
 	return nil
 }
@@ -347,8 +318,8 @@ func prefixMatch(v, addr uint32, code uint8) bool {
 // slot is written as three little-endian stores — LSB-first bit packing
 // over byte-aligned fields IS little-endian byte order. The field
 // composition below mirrors the ruleOff* layout exactly; storeBitwise
-// keeps the offset-by-offset path as the differential oracle
-// (TestStoreFastPathByteIdentity pins byte identity).
+// (storefast_test.go) keeps the offset-by-offset path as the
+// differential oracle (TestStoreFastPathByteIdentity pins byte identity).
 func (er *EncodedRule) store(w []byte, pos int) {
 	s := w[pos*(RuleBits/8):]
 	// Bits 0..63: the four port bounds.
@@ -366,24 +337,6 @@ func (er *EncodedRule) store(w []byte, pos int) {
 		uint32(er.DstAddr>>29)|uint32(er.DstCode&7)<<3|
 			uint32(er.ProtoVal)<<6|uint32(b2u(er.ProtoWild))<<14|
 			uint32(er.ID)<<15|uint32(b2u(er.End))<<31)
-}
-
-// storeBitwise is the original field-by-field bit-packing path, kept as
-// the differential oracle for the byte-aligned store above.
-func (er *EncodedRule) storeBitwise(w []byte, pos int) {
-	base := uint(pos * RuleBits)
-	setBits(w, base+ruleOffSrcPortLo, 16, uint64(er.SrcPortLo))
-	setBits(w, base+ruleOffSrcPortHi, 16, uint64(er.SrcPortHi))
-	setBits(w, base+ruleOffDstPortLo, 16, uint64(er.DstPortLo))
-	setBits(w, base+ruleOffDstPortHi, 16, uint64(er.DstPortHi))
-	setBits(w, base+ruleOffSrcAddr, 32, uint64(er.SrcAddr))
-	setBits(w, base+ruleOffSrcCode, 3, uint64(er.SrcCode))
-	setBits(w, base+ruleOffDstAddr, 32, uint64(er.DstAddr))
-	setBits(w, base+ruleOffDstCode, 3, uint64(er.DstCode))
-	setBits(w, base+ruleOffProtoVal, 8, uint64(er.ProtoVal))
-	setBits(w, base+ruleOffProtoWild, 1, b2u(er.ProtoWild))
-	setBits(w, base+ruleOffID, 16, uint64(er.ID))
-	setBits(w, base+ruleOffEnd, 1, b2u(er.End))
 }
 
 // LoadRule reads the rule slot pos of memory word w.
@@ -460,21 +413,6 @@ func b2u(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// setBits writes the width low bits of val at bit offset off (LSB-first
-// packing) into w.
-func setBits(w []byte, off, width uint, val uint64) {
-	for i := uint(0); i < width; i++ {
-		bit := (val >> i) & 1
-		idx := (off + i) / 8
-		sh := (off + i) % 8
-		if bit == 1 {
-			w[idx] |= 1 << sh
-		} else {
-			w[idx] &^= 1 << sh
-		}
-	}
 }
 
 // getBits reads width bits at offset off from w (LSB-first packing).

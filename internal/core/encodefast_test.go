@@ -2,11 +2,57 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/rule"
 )
+
+// setBits writes the width low bits of val at bit offset off (LSB-first
+// packing) into w.
+func setBits(w []byte, off, width uint, val uint64) {
+	for i := uint(0); i < width; i++ {
+		bit := (val >> i) & 1
+		idx := (off + i) / 8
+		sh := (off + i) % 8
+		if bit == 1 {
+			w[idx] |= 1 << sh
+		} else {
+			w[idx] &^= 1 << sh
+		}
+	}
+}
+
+// encodeInternalBitwise is the original field-by-field bit-packing path,
+// kept as the differential oracle for the word-level fast path
+// (encodeInternal, encode.go).
+func encodeInternalBitwise(w []byte, n *Node) error {
+	for _, c := range n.Cuts {
+		setBits(w, uint(16*c.Dim), 8, uint64(c.Mask))
+		setBits(w, uint(16*c.Dim+8), 8, uint64(uint8(c.Shift)))
+	}
+	if len(n.Children) > MaxCuts {
+		return fmt.Errorf("core: node has %d children; word format caps at %d", len(n.Children), MaxCuts)
+	}
+	for i, c := range n.Children {
+		off := uint(nodeHeaderBits + i*cutEntryBits)
+		if c == nil {
+			return fmt.Errorf("core: nil child survived build; expected shared empty leaf")
+		}
+		typ := uint64(0)
+		if c.Leaf {
+			typ = 1
+		}
+		if c.Word >= 1<<PointerBits {
+			return fmt.Errorf("core: child word %d exceeds pointer field", c.Word)
+		}
+		setBits(w, off, 1, typ)
+		setBits(w, off+1, PointerBits, uint64(c.Word))
+		setBits(w, off+1+PointerBits, PosBits, uint64(c.Pos))
+	}
+	return nil
+}
 
 // randInternalNode builds an internal node with nc children whose
 // leaf/word/pos fields sweep the entries' bit ranges.

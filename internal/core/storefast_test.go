@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// storeBitwise is the original field-by-field bit-packing path, kept as
+// the differential oracle for the byte-aligned store
+// (EncodedRule.store, encode.go).
+func (er *EncodedRule) storeBitwise(w []byte, pos int) {
+	base := uint(pos * RuleBits)
+	setBits(w, base+ruleOffSrcPortLo, 16, uint64(er.SrcPortLo))
+	setBits(w, base+ruleOffSrcPortHi, 16, uint64(er.SrcPortHi))
+	setBits(w, base+ruleOffDstPortLo, 16, uint64(er.DstPortLo))
+	setBits(w, base+ruleOffDstPortHi, 16, uint64(er.DstPortHi))
+	setBits(w, base+ruleOffSrcAddr, 32, uint64(er.SrcAddr))
+	setBits(w, base+ruleOffSrcCode, 3, uint64(er.SrcCode))
+	setBits(w, base+ruleOffDstAddr, 32, uint64(er.DstAddr))
+	setBits(w, base+ruleOffDstCode, 3, uint64(er.DstCode))
+	setBits(w, base+ruleOffProtoVal, 8, uint64(er.ProtoVal))
+	setBits(w, base+ruleOffProtoWild, 1, b2u(er.ProtoWild))
+	setBits(w, base+ruleOffID, 16, uint64(er.ID))
+	setBits(w, base+ruleOffEnd, 1, b2u(er.End))
+}
+
 func randEncodedRule(rng *rand.Rand) EncodedRule {
 	return EncodedRule{
 		SrcPortLo: uint16(rng.Uint32()),

@@ -11,8 +11,7 @@ import (
 )
 
 // Throughput benchmarks: the flat engine against the pointer-walking
-// core.Tree.Classify baseline on the same tree and trace. Run via
-// scripts/bench.sh for benchstat-comparable output.
+// core.Tree.Classify baseline on the same tree and trace.
 
 func benchSetup(b *testing.B, algo core.Algorithm) (*core.Tree, *Engine, []rule.Packet) {
 	b.Helper()
@@ -89,9 +88,7 @@ func BenchmarkEngineParallelClassify(b *testing.B) {
 // BenchmarkClassifyBatchACL10k is the tentpole's headline measurement:
 // the batched classify path on an ACL1 ruleset at 10k rules, with the
 // structure-of-arrays comparator-bank leaf scan (soa) against the
-// array-of-structs early-exit scan (aos). scripts/bench.sh lands both
-// rows in BENCH_<date>.json, so the layout ablation is tracked across
-// PRs next to the throughput trajectory.
+// array-of-structs early-exit scan (aos).
 func BenchmarkClassifyBatchACL10k(b *testing.B) {
 	rs := classbench.Generate(classbench.ACL1(), 10000, 2008)
 	tree, err := core.Build(rs, core.DefaultConfig(core.HyperCuts))
@@ -106,8 +103,7 @@ func BenchmarkClassifyBatchACL10k(b *testing.B) {
 		fn   func([]rule.Packet, []int32)
 	}{{"aos", eng.ClassifyBatchAoS}}
 	// One soa row per available scan kernel (kernel=portable plus the
-	// CPU's native kernel), so the SIMD end-to-end win is a tracked
-	// column in BENCH_<date>.json.
+	// CPU's native kernel), so the SIMD end-to-end win is visible.
 	for _, k := range Kernels() {
 		ke, err := eng.WithKernel(k)
 		if err != nil {
@@ -272,8 +268,7 @@ func BenchmarkEngineCompile(b *testing.B) {
 // and a 10,000-rule table: with the incremental leaf repack, the
 // rule→leaves occupancy index and chunk-granular engine copies, per-
 // update cost tracks the edited-leaf count, so the two ns/op figures
-// must stay close (the measured form of the sublinear-update claim;
-// scripts/bench.sh lands both rows in BENCH_<date>.json).
+// must stay close (the measured form of the sublinear-update claim).
 func BenchmarkPatchUpdate(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("rules=%d", n), func(b *testing.B) {

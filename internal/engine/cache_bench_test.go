@@ -13,8 +13,7 @@ import (
 // cached/uncached pair measures the same batch loop through
 // Handle.ClassifyBatchCached with and without an attached cache, and the
 // cached rows report the cache's steady-state behaviour as custom
-// metrics (hitrate, occupied, stale) so scripts/bench.sh lands them in
-// BENCH_<date>.json alongside pps.
+// metrics (hitrate, occupied, stale) alongside pps.
 
 func benchFlowSetup(b *testing.B, withCache bool) (*Handle, []rule.Packet, []int32) {
 	b.Helper()

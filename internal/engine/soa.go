@@ -88,9 +88,9 @@ const (
 // full 8-lane rounds instead of peeling scalar tails, so the last round
 // of the last window may read up to 7 slots past the arena's high
 // watermark. pad() extends each arena's allocation by this many slots at
-// every publish point (Compile, PatchBatch, the flat-baseline compiles);
-// the garbage lanes are discarded by the kernels' block mask. The
-// portable kernels never read past len, so padding costs them nothing.
+// every publish point (Compile, PatchBatch, image restore); the garbage
+// lanes are discarded by the kernels' block mask. The portable kernels
+// never read past len, so padding costs them nothing.
 const soaPadSlots = 8
 
 // soaPeel is the number of head slots scanLeaf checks with the AoS
@@ -271,34 +271,4 @@ func (b *soaBank) candidates(base, bl int32, f *[rule.NumDims]uint32) uint64 {
 		m &= sweep(f[d1], b.lo[d1][base:base+bl], b.hi[d1][base:base+bl])
 	}
 	return m
-}
-
-// scan returns the offset within the window [off, off+n) of the first
-// slot whose bounds contain the packet fields, or -1, sweeping all five
-// dimensions per block. It is the pure-mask form of the kernel — the
-// shape a SIMD backend would take — kept as the reference the
-// prefilter+verify fast path (Engine.scanLeaf) is differentially tested
-// against; the fast path wins in scalar code because a match-bearing
-// block stops masking after at most two sweeps.
-func (b *soaBank) scan(off, n int32, f *[rule.NumDims]uint32) int32 {
-	end := off + n
-	width := int32(scanBlockLen)
-	for base := off; base < end; {
-		bl := end - base
-		if bl > width {
-			bl = width
-		}
-		d0 := b.order[0]
-		m := sweep(f[d0], b.lo[d0][base:base+bl], b.hi[d0][base:base+bl])
-		for i := 1; i < rule.NumDims && m != 0; i++ {
-			d := b.order[i]
-			m &= sweep(f[d], b.lo[d][base:base+bl], b.hi[d][base:base+bl])
-		}
-		if m != 0 {
-			return base - off + int32(bits.TrailingZeros64(m))
-		}
-		base += bl
-		width = scanTailLen
-	}
-	return -1
 }

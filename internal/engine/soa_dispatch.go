@@ -14,9 +14,9 @@ import (
 // Three kernels implement the same window scan over the SoA arenas:
 //
 //   - portable: the pure-Go blocked sweep of soa.go (candidates prefilter
-//     + verify on Engine, the 5-sweep mask kernel scan() as its oracle) —
-//     always compiled, the only kernel under the purego build tag, and
-//     the bit-for-bit differential reference for the others;
+//     + verify on Engine; the 5-sweep mask kernel in soa_test.go is its
+//     oracle) — always compiled, the only kernel under the purego build
+//     tag, and the bit-for-bit differential reference for the others;
 //   - avx2 (amd64): a hand-written fused kernel (soa_amd64.s) that fires
 //     8 range comparators per VPCMPEQD round, keeps the block mask in a
 //     register across the selectivity-ordered dimension sweeps, and
@@ -26,8 +26,7 @@ import (
 //
 // Selection is one-time: a CPU-feature probe (soa_*.go detectNative)
 // picks the best kernel at init, overridable by the REPRO_SCAN_KERNEL
-// environment variable ("portable", "native", or an arch name) and by
-// SetDefaultKernel (repro.Config.ScanKernel goes through it). Engines
+// environment variable ("portable", "native", or an arch name). Engines
 // are stamped with the kernel at Compile and keep it through Patch, so
 // a published snapshot never changes kernels mid-flight; WithKernel
 // derives a re-stamped view sharing every arena, the A/B surface the
@@ -40,15 +39,15 @@ const ScanKernelEnv = "REPRO_SCAN_KERNEL"
 // KernelPortable names the pure-Go scan kernel (always available).
 const KernelPortable = "portable"
 
-// kern values: the dispatch tag stamped into Engine/RangeEngine.
+// kern values: the dispatch tag stamped into Engine.
 const (
 	kernPortable uint8 = iota
 	kernNative
 )
 
 // nativeKernelOK records the one-time CPU-feature probe; defaultKern is
-// the kernel Compile stamps into new engines. Both are set at init and
-// changed only by SetDefaultKernel — never while classification runs.
+// the kernel Compile stamps into new engines. Both are set once at init
+// and never written again.
 // kernelFallback records why an env override was NOT honored ("" when it
 // was, or no override was set): an unsatisfiable override (unknown name,
 // or a native kernel this CPU lacks) falls back to the probed default —
@@ -125,23 +124,8 @@ func Kernels() []string {
 	return ks
 }
 
-// DefaultKernel returns the kernel Compile currently stamps into new
-// engines.
+// DefaultKernel returns the kernel Compile stamps into new engines.
 func DefaultKernel() string { return kernName(defaultKern) }
-
-// SetDefaultKernel selects the scan kernel for subsequent Compiles
-// (process-wide; existing engines keep their stamp). It accepts
-// "portable", "native", or the architecture kernel name, and fails if
-// the CPU or build cannot satisfy the request. Not safe to call
-// concurrently with Compile.
-func SetDefaultKernel(name string) error {
-	k, err := kernFromName(name)
-	if err != nil {
-		return err
-	}
-	defaultKern = k
-	return nil
-}
 
 // Kernel reports the scan kernel this engine snapshot is stamped with.
 func (e *Engine) Kernel() string { return kernName(e.kern) }
@@ -151,21 +135,6 @@ func (e *Engine) Kernel() string { return kernName(e.kern) }
 // it is an O(1) A/B switch: the differential tests and per-kernel
 // benchmark rows run the same image through both kernels.
 func (e *Engine) WithKernel(name string) (*Engine, error) {
-	k, err := kernFromName(name)
-	if err != nil {
-		return nil, err
-	}
-	ne := *e
-	ne.kern = k
-	return &ne, nil
-}
-
-// Kernel reports the scan kernel this baseline rendering is stamped with.
-func (e *RangeEngine) Kernel() string { return kernName(e.kern) }
-
-// WithKernel returns a re-stamped view sharing every arena; see
-// Engine.WithKernel.
-func (e *RangeEngine) WithKernel(name string) (*RangeEngine, error) {
 	k, err := kernFromName(name)
 	if err != nil {
 		return nil, err

@@ -19,7 +19,7 @@ import (
 
 // TestKernelDispatch pins the selection surface: the portable kernel is
 // always available, WithKernel round-trips, and unsatisfiable requests
-// fail loudly (SetDefaultKernel) while the env fallback degrades.
+// fail loudly (WithKernel) while the env fallback degrades.
 func TestKernelDispatch(t *testing.T) {
 	ks := Kernels()
 	if len(ks) == 0 || ks[0] != KernelPortable {
@@ -48,9 +48,6 @@ func TestKernelDispatch(t *testing.T) {
 	}
 	if _, err := e.WithKernel("no-such-kernel"); err == nil {
 		t.Fatal("WithKernel accepted an unknown kernel name")
-	}
-	if err := SetDefaultKernel("no-such-kernel"); err == nil {
-		t.Fatal("SetDefaultKernel accepted an unknown kernel name")
 	}
 	if nativeKernelOK {
 		ne, err := e.WithKernel("native")
@@ -410,9 +407,7 @@ func TestResolveKernFallback(t *testing.T) {
 	// The process-level state agrees with a fresh resolution of the
 	// actual environment (both ran the same pure function).
 	wantK, wantMsg := resolveKern(os.Getenv(ScanKernelEnv))
-	if defaultKern != wantK && KernelFallback() != wantMsg {
-		// defaultKern may have been moved by SetDefaultKernel in other
-		// tests; the fallback record never changes after init.
-		t.Fatalf("KernelFallback() = %q, want %q", KernelFallback(), wantMsg)
+	if defaultKern != wantK || KernelFallback() != wantMsg {
+		t.Fatalf("init resolved (%d, %q), want (%d, %q)", defaultKern, KernelFallback(), wantK, wantMsg)
 	}
 }

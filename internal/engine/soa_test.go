@@ -2,13 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
 	"repro/internal/classbench"
 	"repro/internal/core"
-	"repro/internal/hicuts"
-	"repro/internal/hypercuts"
 	"repro/internal/rule"
 )
 
@@ -20,6 +19,36 @@ import (
 // soaFields converts a packet to the scan kernels' field vector.
 func soaFields(p rule.Packet) [rule.NumDims]uint32 {
 	return [rule.NumDims]uint32{p.SrcIP, p.DstIP, uint32(p.SrcPort), uint32(p.DstPort), uint32(p.Proto)}
+}
+
+// scan returns the offset within the window [off, off+n) of the first
+// slot whose bounds contain the packet fields, or -1, sweeping all five
+// dimensions per block. It is the pure-mask form of the kernel — the
+// shape a SIMD backend would take — kept as the reference the
+// prefilter+verify fast path (Engine.scanLeaf) is differentially tested
+// against; the fast path wins in scalar code because a match-bearing
+// block stops masking after at most two sweeps.
+func (b *soaBank) scan(off, n int32, f *[rule.NumDims]uint32) int32 {
+	end := off + n
+	width := int32(scanBlockLen)
+	for base := off; base < end; {
+		bl := end - base
+		if bl > width {
+			bl = width
+		}
+		d0 := b.order[0]
+		m := sweep(f[d0], b.lo[d0][base:base+bl], b.hi[d0][base:base+bl])
+		for i := 1; i < rule.NumDims && m != 0; i++ {
+			d := b.order[i]
+			m &= sweep(f[d], b.lo[d][base:base+bl], b.hi[d][base:base+bl])
+		}
+		if m != 0 {
+			return base - off + int32(bits.TrailingZeros64(m))
+		}
+		base += bl
+		width = scanTailLen
+	}
+	return -1
 }
 
 // checkScanIdentity walks every packet and compares the three scan
@@ -150,36 +179,6 @@ func TestSoADifferentialPatched(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSoADifferentialBaselines checks the flat baseline renderings
-// (RangeEngine), whose leaf scans share the same comparator bank,
-// against their pointer trees.
-func TestSoADifferentialBaselines(t *testing.T) {
-	rs := classbench.Generate(classbench.ACL1(), 1500, 11)
-	trace := classbench.GenerateTrace(rs, 5000, 12)
-
-	hct, err := hicuts.Build(rs, hicuts.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fh := CompileHiCuts(hct)
-	for i, p := range trace {
-		if got, want := fh.Classify(p), hct.Classify(p); got != want {
-			t.Fatalf("hicuts packet %d: flat=%d tree=%d", i, got, want)
-		}
-	}
-
-	yct, err := hypercuts.Build(rs, hypercuts.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fy := CompileHyperCuts(yct)
-	for i, p := range trace {
-		if got, want := fy.Classify(p), yct.Classify(p); got != want {
-			t.Fatalf("hypercuts packet %d: flat=%d tree=%d", i, got, want)
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/classbench"
@@ -11,10 +10,8 @@ import (
 )
 
 // Telemetry-overhead accountability: the instrumented batch classify path
-// must stay zero-alloc and within ~2% of the uninstrumented rate. The
-// benchmark lands off/on rows in BENCH_<date>.json (scripts/bench.sh
-// synthesizes a telemetry_overhead row from them); the ZeroAllocs test
-// rides the CI alloc gate; the Budget test is the CI throughput gate.
+// must stay zero-alloc, and the benchmark's off/on rows show its cost.
+// The ZeroAllocs test rides the CI alloc gate.
 
 func telemetryBenchSetup(b testing.TB) (*Handle, []rule.Packet, []int32) {
 	rs := classbench.Generate(classbench.ACL1(), 2000, 2008)
@@ -72,43 +69,5 @@ func TestTelemetryZeroAllocs(t *testing.T) {
 		h.ClassifyBatchCached(trace, out)
 	}); avg != 0 {
 		t.Errorf("instrumented cached ClassifyBatchCached: %.2f allocs/op, want 0", avg)
-	}
-}
-
-// TestTelemetryOverheadBudget is the CI throughput gate for the ~2%
-// overhead budget: best-of-k measured rates for the instrumented and
-// uninstrumented batch path must agree within the budget (best-of damps
-// shared-runner noise; the paths do identical classification work).
-// Opt-in via REPRO_TELEMETRY_GATE=1 — a timing assertion has no place in
-// the default -race/short test matrix.
-func TestTelemetryOverheadBudget(t *testing.T) {
-	if os.Getenv("REPRO_TELEMETRY_GATE") == "" {
-		t.Skip("set REPRO_TELEMETRY_GATE=1 to run the timing gate")
-	}
-	h, trace, out := telemetryBenchSetup(t)
-	best := func(tel *telemetry.Recorder) float64 {
-		h.SetTelemetry(tel)
-		defer h.SetTelemetry(nil)
-		h.ClassifyBatchCached(trace, out) // warm
-		bestPPS := 0.0
-		for rep := 0; rep < 7; rep++ {
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					h.ClassifyBatchCached(trace, out)
-				}
-			})
-			pps := float64(res.N) * float64(len(trace)) / res.T.Seconds()
-			if pps > bestPPS {
-				bestPPS = pps
-			}
-		}
-		return bestPPS
-	}
-	off := best(nil)
-	on := best(telemetry.New())
-	ratio := on / off
-	t.Logf("telemetry overhead: off=%.0f pps on=%.0f pps ratio=%.4f", off, on, ratio)
-	if ratio < 0.98 {
-		t.Errorf("instrumented throughput %.1f%% of uninstrumented, want >= 98%%", 100*ratio)
 	}
 }

@@ -15,7 +15,6 @@ import (
 // per update (dirtywords) against the image size (imgwords): the
 // sublinear-update claim is dirtywords staying a handful while imgwords
 // grows an order of magnitude between the sub-benchmarks.
-// scripts/bench.sh records both metrics in BENCH_<date>.json.
 func BenchmarkPatchWords(b *testing.B) {
 	dev := Device{Name: "bench-4096w", FreqHz: 226e6, PowerW: 0.01832, MemoryWords: 1 << core.PointerBits}
 	for _, n := range []int{1000, 10000} {

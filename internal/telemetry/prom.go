@@ -33,6 +33,8 @@ var counterDefs = []metricDef{
 	{"repro_scan_kernel_fallbacks_total", "counter", "Scan-kernel override requests that degraded to the probed default."},
 	//repro:allow metricdefs -- exposed from Ring.seq, the flight recorder's own cursor, not a Recorder Counter field
 	{"repro_events_total", "counter", "Flight-recorder events ever recorded."},
+	//repro:allow metricdefs -- computed from ring state (seq minus capacity), not a Recorder Counter field
+	{"repro_events_dropped_total", "counter", "Flight-recorder events lost to ring wraparound."},
 }
 
 var gaugeDefs = []metricDef{
@@ -43,8 +45,6 @@ var gaugeDefs = []metricDef{
 	{"repro_cache_occupied", "gauge", "Live flow-cache entries at the last epoch publish."},
 	{"repro_stream_work_queue", "gauge", "Stream work-ring occupancy at the last dispatch."},
 	{"repro_stream_done_queue", "gauge", "Stream done-ring occupancy at the last dispatch."},
-	//repro:allow metricdefs -- computed from ring state (seq minus capacity), not a Recorder Gauge field
-	{"repro_events_dropped_total", "gauge", "Flight-recorder events lost to ring wraparound."},
 }
 
 var histDefs = []metricDef{
@@ -90,16 +90,19 @@ func (r *Recorder) WriteProm(w io.Writer) error {
 		writeHeader(bw, d)
 		fmt.Fprintf(bw, "%s %d\n", d.name, counters[i].Load())
 	}
-	// repro_events_total rides the ring's sequence counter.
-	d := counterDefs[len(counters)]
-	writeHeader(bw, d)
+	// repro_events_total and repro_events_dropped_total ride the ring's
+	// sequence counter.
 	r.Events.mu.Lock()
 	seq, dropped := r.Events.seq, uint64(0)
 	if n := uint64(len(r.Events.buf)); n < seq {
 		dropped = seq - n
 	}
 	r.Events.mu.Unlock()
-	fmt.Fprintf(bw, "%s %d\n", d.name, seq)
+	for i, v := range []uint64{seq, dropped} {
+		d := counterDefs[len(counters)+i]
+		writeHeader(bw, d)
+		fmt.Fprintf(bw, "%s %d\n", d.name, v)
+	}
 
 	now := r.NowNanos()
 	age := float64(now-r.LastPublishNs.Load()) / 1e9
@@ -111,7 +114,6 @@ func (r *Recorder) WriteProm(w io.Writer) error {
 		float64(r.CacheOccupied.Load()),
 		float64(r.WorkQueue.Load()),
 		float64(r.DoneQueue.Load()),
-		float64(dropped),
 	}
 	for i, d := range gaugeDefs {
 		writeHeader(bw, d)

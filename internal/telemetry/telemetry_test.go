@@ -229,6 +229,8 @@ func TestWritePromFamilies(t *testing.T) {
 		"repro_epoch 7",
 		"repro_garbage_ratio 0.25",
 		"repro_events_total 1",
+		"# TYPE repro_events_dropped_total counter",
+		"repro_events_dropped_total 0",
 		`repro_classify_batch_seconds_bucket{le="+Inf"} 2`,
 		"repro_classify_batch_seconds_count 2",
 		"repro_cache_hits_total 99",

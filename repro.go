@@ -107,8 +107,10 @@ func GenerateFlowTrace(rs RuleSet, n, flows, burst int, seed int64) []Packet {
 
 // Config tunes the accelerator build.
 type Config struct {
-	// Algorithm is HiCuts or HyperCuts (default HyperCuts, the paper's
-	// best performer after modification).
+	// Algorithm is HiCuts or HyperCuts. The zero value is HiCuts; name
+	// HyperCuts (the paper's best performer after modification)
+	// explicitly for large rulesets — acl1 at 10k rules fits the
+	// 1024-word ASIC under HyperCuts but not under HiCuts.
 	Algorithm Algorithm
 	// Binth and Spfac follow the paper (§3); zero values select the
 	// defaults used in its tables (binth 120, spfac 4).
@@ -133,15 +135,6 @@ type Config struct {
 	// by epoch, and stale entries fall through to the tree and
 	// repopulate. 0 disables caching.
 	CacheSize int
-	// ScanKernel selects the engine's leaf-scan comparator-bank kernel:
-	// "" (keep the process default — the best the CPU supports),
-	// "portable" (the pure-Go oracle), "native", or an architecture
-	// kernel name ("avx2", "neon"). The choice is process-wide and
-	// applies to engines compiled afterwards; an unsatisfiable request
-	// (unknown name, unsupported CPU) fails BuildAccelerator. The
-	// REPRO_SCAN_KERNEL environment variable sets the same default at
-	// process start. See DESIGN.md §10.
-	ScanKernel string
 	// RestorePath, when non-empty, boots the accelerator from a
 	// serialized engine image (Accelerator.SaveImage) instead of waiting
 	// for a build: the image is validated (checksums, version, every
@@ -168,10 +161,6 @@ type Config struct {
 	// controls the HTTP exposition. See DESIGN.md §12.
 	TelemetryAddr string
 }
-
-// ScanKernels lists the leaf-scan kernels available on this CPU and
-// build (candidates for Config.ScanKernel), portable first.
-func ScanKernels() []string { return engine.Kernels() }
 
 // DefaultRecompileThreshold is the default update-degradation level that
 // triggers a background recompile: once a quarter of the leaf table is
@@ -307,11 +296,6 @@ func (a *Accelerator) initTelemetry(addr string) error {
 // With Config.RestorePath set it instead restores a serialized engine
 // image and serves immediately while the tree rebuilds in the background.
 func BuildAccelerator(rs RuleSet, cfg Config) (*Accelerator, error) {
-	if cfg.ScanKernel != "" {
-		if err := engine.SetDefaultKernel(cfg.ScanKernel); err != nil {
-			return nil, err
-		}
-	}
 	ccfg := coreConfig(cfg)
 	if cfg.RestorePath != "" {
 		return restoreAccelerator(rs, cfg, ccfg)

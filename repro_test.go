@@ -13,6 +13,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Config.Algorithm's documented zero value; HyperCuts must be named.
+	if got := (Config{}).Algorithm; got != HiCuts {
+		t.Errorf("Config{}.Algorithm = %v, want HiCuts", got)
+	}
 	acc, err := BuildAccelerator(rs, Config{Algorithm: HyperCuts})
 	if err != nil {
 		t.Fatal(err)
