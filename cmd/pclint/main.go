@@ -1,68 +1,38 @@
 // pclint is the repo's invariant checker: the internal/lint analyzer
-// suite (hotpath, atomicmix, arenaappend, unsafealias, metricdefs,
-// reproallow) plus the stock asmdecl pass for the SIMD shims, packaged
-// as a vet tool.
+// suite (hotpath, atomicfunc, arenaappend, unsafealias, reproallow)
+// run over the packages its arguments name.
 //
-// Two ways to run it:
-//
-//	go vet -vettool=$(which pclint) ./...
 //	pclint ./...
+//	pclint -tags=purego ./...
+//	GOOS=linux GOARCH=arm64 pclint ./internal/engine/
 //
-// The second form simply re-execs `go vet -vettool=<self>` with the
-// given package patterns, so facts flow across packages through the
-// go command's unit-checking protocol exactly as they would under vet.
+// The arguments go to `go list` unchanged, so build flags and package
+// patterns mean what they mean to the go command. Exit status is 1 if
+// there are diagnostics and 2 if the packages could not be loaded.
 package main
 
 import (
 	"fmt"
 	"os"
-	"os/exec"
-	"strings"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/asmdecl"
-	"golang.org/x/tools/go/analysis/unitchecker"
+	"path/filepath"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	if isVetProtocol(os.Args[1:]) {
-		suite := append([]*analysis.Analyzer{}, lint.Analyzers()...)
-		suite = append(suite, asmdecl.Analyzer)
-		unitchecker.Main(suite...) // never returns
-	}
-
-	// Human-invoked form: delegate to `go vet` with ourselves as the
-	// vettool so the driver handles package loading, dependency facts
-	// and caching.
-	self, err := os.Executable()
+	diags, err := lint.Check(".", lint.Analyzers(), os.Args[1:]...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pclint: cannot locate own binary: %v\n", err)
-		os.Exit(2)
-	}
-	args := append([]string{"vet", "-vettool=" + self}, os.Args[1:]...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			os.Exit(ee.ExitCode())
-		}
 		fmt.Fprintf(os.Stderr, "pclint: %v\n", err)
 		os.Exit(2)
 	}
-}
-
-// isVetProtocol reports whether the go command is driving us through
-// the unitchecker protocol: `pclint -V=full`, `pclint -flags`, or
-// `pclint path/to/unit.cfg`.
-func isVetProtocol(args []string) bool {
-	for _, a := range args {
-		if a == "-flags" || strings.HasPrefix(a, "-V") || strings.HasSuffix(a, ".cfg") {
-			return true
+	wd, _ := os.Getwd() // on failure positions stay absolute
+	for _, d := range diags {
+		if rel, err := filepath.Rel(wd, d.Pos.Filename); err == nil {
+			d.Pos.Filename = rel
 		}
+		fmt.Fprintf(os.Stderr, "%s: %s\n", d.Pos, d.Message)
 	}
-	return false
+	if len(diags) > 0 {
+		os.Exit(1)
+	}
 }

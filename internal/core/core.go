@@ -204,9 +204,6 @@ type Node struct {
 	prefixLen [rule.NumDims]int
 }
 
-// NumChildren returns the total cut count np of an internal node.
-func (n *Node) NumChildren() int { return len(n.Children) }
-
 // BuildStats counts construction work; the SA-1100 model converts it to
 // build energy (paper Table 3, "Hardware" columns — the modified structure
 // is still built in software and then loaded into the accelerator).
@@ -261,23 +258,15 @@ type Tree struct {
 	// copy-on-write repointing in InsertDelta.
 	leafParents map[*Node]map[int]int
 
-	// buildNanos / layoutNanos are wall-clock construction timings for
-	// the telemetry plane: the whole Build (cutting + layout) and the
-	// most recent full layout pass (Relayout — the recompile path's
-	// compaction cost). Kept out of BuildStats, which must stay
-	// identical between sequential and parallel builds.
-	buildNanos  int64
-	layoutNanos int64
+	// buildNanos is the wall-clock duration of the whole Build (cutting
+	// + layout), for the telemetry plane. Kept out of BuildStats, which
+	// must stay identical between sequential and parallel builds.
+	buildNanos int64
 }
 
 // BuildNanos reports the wall-clock duration of the Build call that
 // produced this tree, in nanoseconds.
 func (t *Tree) BuildNanos() int64 { return t.buildNanos }
-
-// LastLayoutNanos reports the wall-clock duration of the most recent
-// full layout pass (the Build's initial layout, or the latest Relayout),
-// in nanoseconds.
-func (t *Tree) LastLayoutNanos() int64 { return t.layoutNanos }
 
 // Config returns the build configuration.
 func (t *Tree) Config() Config { return t.cfg }

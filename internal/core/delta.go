@@ -61,16 +61,6 @@ type WordRange struct {
 	Lo, Hi int
 }
 
-// FirstDirtyWord returns the lowest memory-word index the delta rewrites,
-// or -1 when the update changed no words (a delete of a rule absent from
-// every live leaf).
-func (d *Delta) FirstDirtyWord() int {
-	if len(d.DirtyWords) == 0 {
-		return -1
-	}
-	return d.DirtyWords[0].Lo
-}
-
 // DirtyWordCount returns the number of memory words the delta rewrites —
 // the write-interface cycles the paper's §4 update path charges.
 func (d *Delta) DirtyWordCount() int {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"time"
 
 	"repro/internal/rule"
 )
@@ -13,8 +12,6 @@ import (
 // rebuilds the leaf identity maps incremental updates maintain. The
 // delta-apply path (Tree.applyDelta) refreshes only the leaf packing.
 func (t *Tree) layout() error { // error kept for future packing policies
-	layoutStart := time.Now()
-	defer func() { t.layoutNanos = int64(time.Since(layoutStart)) }()
 	t.internals = t.internals[:0]
 	t.leafOrder = t.leafOrder[:0]
 

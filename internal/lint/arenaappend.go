@@ -16,27 +16,18 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// ArenaFact marks a struct field as a published COW arena.
-type ArenaFact struct{}
-
-func (*ArenaFact) AFact()         {}
-func (*ArenaFact) String() string { return "arena" }
-
-var ArenaAppendAnalyzer = &analysis.Analyzer{
-	Name:      "arenaappend",
-	Doc:       "//repro:arena fields may only be mutated inside //repro:arena-writer functions",
-	Run:       runArenaAppend,
-	FactTypes: []analysis.Fact{new(ArenaFact)},
+var ArenaAppendAnalyzer = &Analyzer{
+	Name: "arenaappend",
+	Run:  runArenaAppend,
 }
 
-func runArenaAppend(pass *analysis.Pass) (interface{}, error) {
-	idx := collectDirectives(pass)
+func runArenaAppend(pass *Pass) {
+	idx := pass.dirs
 
-	// Collect annotated arena fields and export facts.
+	// Collect annotated arena fields. They are unexported, so no other
+	// package can name one: the set is complete within this pass.
 	arenas := make(map[*types.Var]bool)
 	for field, dirs := range idx.fieldDir {
 		for _, d := range dirs {
@@ -46,7 +37,6 @@ func runArenaAppend(pass *analysis.Pass) (interface{}, error) {
 			for _, name := range field.Names {
 				if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
 					arenas[v] = true
-					pass.ExportObjectFact(v, new(ArenaFact))
 				}
 			}
 		}
@@ -69,7 +59,7 @@ func runArenaAppend(pass *analysis.Pass) (interface{}, error) {
 				if v == nil {
 					return nil
 				}
-				if arenas[v] || pass.ImportObjectFact(v, new(ArenaFact)) {
+				if arenas[v] {
 					return v
 				}
 				// Nested path (e.soa.lo): keep descending — the leaf
@@ -100,14 +90,14 @@ func runArenaAppend(pass *analysis.Pass) (interface{}, error) {
 							if _, ok := lhs.(*ast.IndexExpr); ok {
 								verb = "indexed-writes"
 							}
-							report(pass, idx, lhs.Pos(),
+							report(pass, lhs.Pos(),
 								"%s arena field %s outside an //repro:arena-writer function (COW protocol violation)",
 								verb, v.Name())
 						}
 					}
 				case *ast.IncDecStmt:
 					if v := isArena(n.X); v != nil {
-						report(pass, idx, n.X.Pos(),
+						report(pass, n.X.Pos(),
 							"mutates arena field %s outside an //repro:arena-writer function", v.Name())
 					}
 				case *ast.CallExpr:
@@ -117,7 +107,7 @@ func runArenaAppend(pass *analysis.Pass) (interface{}, error) {
 					if id, ok := unparen(n.Fun).(*ast.Ident); ok {
 						if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "append" && len(n.Args) > 0 {
 							if v := isArena(n.Args[0]); v != nil {
-								report(pass, idx, n.Pos(),
+								report(pass, n.Pos(),
 									"appends to arena field %s outside an //repro:arena-writer function", v.Name())
 							}
 						}
@@ -127,5 +117,17 @@ func runArenaAppend(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
+}
+
+// fieldObject resolves a selector to the struct field it reads or
+// writes, or nil if it is not a field access.
+func fieldObject(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.FieldVal {
+		return nil
+	}
+	if v, ok := s.Obj().(*types.Var); ok && v.IsField() {
+		return v
+	}
+	return nil
 }

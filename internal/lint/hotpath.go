@@ -8,10 +8,10 @@ package lint
 // closures, goroutine spawns, map writes, channel ops, string
 // conversions/concatenation, boxing a non-pointer into an interface,
 // and calls into allocation-happy stdlib packages (fmt, strconv, time,
-// ...). Cross-package calls are resolved through exported CleanFacts
-// (computed bottom-up by this same analyzer over dependencies under
-// the vet driver) plus a small whitelist of known-alloc-free stdlib
-// packages; anything unprovable is a diagnostic. Documented cold exits
+// ...). Cross-package calls are resolved through the CleanFact table
+// (Pass.clean, filled bottom-up by this same analyzer as the driver
+// walks the dependencies) plus a small whitelist of known-alloc-free
+// stdlib packages; anything unprovable is a diagnostic. Documented cold exits
 // (sampled time.Now, error-path fmt.Errorf) are suppressed line by
 // line with //repro:allow hotpath -- <why>, or function-wide with
 // //repro:coldpath <why>.
@@ -21,23 +21,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// CleanFact marks a function proven allocation-free (including its
-// callees). Exported so the proof composes across packages under the
-// vet driver.
-type CleanFact struct{}
-
-func (*CleanFact) AFact()         {}
-func (*CleanFact) String() string { return "allocfree" }
-
-var HotPathAnalyzer = &analysis.Analyzer{
-	Name:      "hotpath",
-	Doc:       "functions annotated //repro:hotpath must be allocation-free over the whole reachable call graph",
-	Run:       runHotPath,
-	FactTypes: []analysis.Fact{new(CleanFact)},
+var HotPathAnalyzer = &Analyzer{
+	Name: "hotpath",
+	Run:  runHotPath,
 }
 
 // requiredHotRoots lists functions that MUST carry //repro:hotpath, so
@@ -52,9 +40,8 @@ var requiredHotRoots = map[string][]string{
 	"repro/internal/flowcache": {"Cache.Probe", "Cache.ProbeBatch", "Cache.Insert"},
 	"repro/internal/wire":      {"Reader.ReadBatch"},
 	"repro/internal/stream":    {"appendIDs"},
-	// Test fixture for the required-roots rule itself (linttest runs
-	// testdata packages under their directory name as the path).
-	"hotroots": {"MustBeHot"},
+	// Test fixture for the required-roots rule itself.
+	"repro/internal/lint/testdata/src/hotroots": {"MustBeHot"},
 }
 
 // allocFreePackages are stdlib packages whose exported functions and
@@ -82,7 +69,7 @@ var allocHappyPackages = map[string]bool{
 }
 
 type hotChecker struct {
-	pass *analysis.Pass
+	pass *Pass
 	idx  *directiveIndex
 	// decls maps package-level function objects to their declarations.
 	decls map[*types.Func]*ast.FuncDecl
@@ -93,6 +80,9 @@ type hotChecker struct {
 	inProgress map[*ast.FuncDecl]bool
 	// reported dedups sites reachable from several hot roots.
 	reported map[token.Pos]bool
+	// appendParent maps a call that is the sole RHS of an assignment
+	// to that assignment, for the self-append test.
+	appendParent map[*ast.CallExpr]*ast.AssignStmt
 }
 
 type violation struct {
@@ -100,19 +90,20 @@ type violation struct {
 	msg string
 }
 
-func runHotPath(pass *analysis.Pass) (interface{}, error) {
+func runHotPath(pass *Pass) {
 	c := &hotChecker{
-		pass:       pass,
-		idx:        collectDirectives(pass),
-		decls:      make(map[*types.Func]*ast.FuncDecl),
-		summary:    make(map[*ast.FuncDecl]*violation),
-		inProgress: make(map[*ast.FuncDecl]bool),
-		reported:   make(map[token.Pos]bool),
+		pass:         pass,
+		idx:          pass.dirs,
+		decls:        make(map[*types.Func]*ast.FuncDecl),
+		summary:      make(map[*ast.FuncDecl]*violation),
+		inProgress:   make(map[*ast.FuncDecl]bool),
+		reported:     make(map[token.Pos]bool),
+		appendParent: make(map[*ast.CallExpr]*ast.AssignStmt),
 	}
 	hot := make([]*ast.FuncDecl, 0, 8)
 	hotNames := make(map[string]bool)
 	for _, f := range pass.Files {
-		recordAppendParents(f)
+		c.recordAppendParents(f)
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok {
@@ -136,7 +127,7 @@ func runHotPath(pass *analysis.Pass) (interface{}, error) {
 			continue
 		}
 		if fn := c.findDecl(want); fn != nil {
-			report(pass, c.idx, fn.Pos(),
+			report(pass, fn.Pos(),
 				"%s is a hot-path contract function and must carry //repro:hotpath", want)
 		}
 	}
@@ -156,14 +147,13 @@ func runHotPath(pass *analysis.Pass) (interface{}, error) {
 		visit(fn)
 	}
 
-	// Export clean facts for cross-package composition: every function
+	// Record clean facts for cross-package composition: every function
 	// whose transitive in-package summary is violation-free.
 	for obj, fn := range c.decls {
 		if c.summarize(fn) == nil {
-			pass.ExportObjectFact(obj, new(CleanFact))
+			pass.clean[obj] = true
 		}
 	}
-	return nil, nil
 }
 
 // declName renders a FuncDecl as "Recv.Method" or "Func".
@@ -204,7 +194,7 @@ func (c *hotChecker) checkBody(fn *ast.FuncDecl, visit func(*ast.FuncDecl)) {
 		if v != nil {
 			if !c.reported[v.pos] {
 				c.reported[v.pos] = true
-				report(c.pass, c.idx, v.pos, "hot path (via %s): %s", declName(fn), v.msg)
+				report(c.pass, v.pos, "hot path (via %s): %s", declName(fn), v.msg)
 			}
 			return false // one diagnostic per construct: don't descend into it
 		}
@@ -351,7 +341,7 @@ func (c *hotChecker) checkCall(call *ast.CallExpr) (*violation, *ast.FuncDecl) {
 			case "make", "new":
 				return viol("%s allocates", b.Name())
 			case "append":
-				if !isSelfAppend(call) {
+				if !c.isSelfAppend(call) {
 					return viol("append with capacity growth allocates (only x = append(x, ...) amortized self-append is blessed)")
 				}
 				return nil, nil
@@ -406,7 +396,7 @@ func (c *hotChecker) checkCall(call *ast.CallExpr) (*violation, *ast.FuncDecl) {
 	if allocFreePackages[path] {
 		return nil, nil
 	}
-	if c.pass.ImportObjectFact(obj, new(CleanFact)) {
+	if c.pass.clean[obj] {
 		return nil, nil
 	}
 	return viol("cannot prove %s.%s allocation-free (no CleanFact; annotate or allow)", path, obj.Name())
@@ -468,22 +458,17 @@ func (c *hotChecker) boxedArg(sig *types.Signature, call *ast.CallExpr) (string,
 // isSelfAppend reports the amortized pooled-buffer idiom
 // `x = append(x, ...)` / `x.f = append(x.f, ...)`, whose steady state
 // does not allocate.
-func isSelfAppend(call *ast.CallExpr) bool {
+func (c *hotChecker) isSelfAppend(call *ast.CallExpr) bool {
 	// The call must be the sole RHS of an assignment to the same
 	// expression as the first argument.
-	asg, ok := appendParent[call]
+	asg, ok := c.appendParent[call]
 	if !ok || len(asg.Rhs) != 1 || len(asg.Lhs) != 1 {
 		return false
 	}
 	return exprString(asg.Lhs[0]) == exprString(call.Args[0])
 }
 
-// appendParent maps append calls to their enclosing assignment; filled
-// lazily per walk via recordAppendParents. Global maps keyed by node
-// identity are safe: nodes are unique per package analysis.
-var appendParent = map[*ast.CallExpr]*ast.AssignStmt{}
-
-func recordAppendParents(f *ast.File) {
+func (c *hotChecker) recordAppendParents(f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		asg, ok := n.(*ast.AssignStmt)
 		if !ok {
@@ -491,7 +476,7 @@ func recordAppendParents(f *ast.File) {
 		}
 		if len(asg.Rhs) == 1 {
 			if call, ok := asg.Rhs[0].(*ast.CallExpr); ok {
-				appendParent[call] = asg
+				c.appendParent[call] = asg
 			}
 		}
 		return true

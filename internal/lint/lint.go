@@ -1,9 +1,11 @@
-// Package lint holds the pclint analyzers: custom go/analysis passes
-// that prove the engine's performance contracts — zero-alloc hot paths,
-// atomic access discipline, append-only COW arenas, blessed unsafe
-// shapes, and the telemetry registry's no-drift rule — statically, at
-// vet time, over the whole call graph. DESIGN.md §14 documents each
-// invariant; this file holds the shared directive vocabulary.
+// Package lint holds the pclint analyzers and their driver: passes
+// over go/ast and go/types that prove the engine's performance
+// contracts — zero-alloc hot paths, typed atomics only, append-only
+// COW arenas, blessed unsafe shapes — statically, over the whole call
+// graph. Check (load.go) is the one driver: cmd/pclint, TestModuleClean
+// and the analyzers' own testdata all run through it. DESIGN.md §14
+// documents each invariant; this file holds the analyzer types and the
+// shared directive vocabulary.
 //
 // Directives are magic comments (no space after //, like //go:):
 //
@@ -31,28 +33,47 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-// AnalyzerNames are the valid targets of //repro:allow, in the order
-// they run.
-var AnalyzerNames = []string{
-	"hotpath", "atomicmix", "arenaappend", "unsafealias", "metricdefs", "reproallow",
+// Analyzer is one named check; its name is what //repro:allow targets.
+type Analyzer struct {
+	Name string
+	Run  func(*Pass)
 }
 
-// Analyzers returns the full pclint suite. asmdecl is appended by
-// cmd/pclint (it lives in x/tools, not here).
-func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{
+// Pass is one analyzer's run over one type-checked package.
+type Pass struct {
+	Analyzer *Analyzer
+	*Package
+
+	// dirs is the package's //repro: directives, collected once and
+	// shared by every analyzer.
+	dirs *directiveIndex
+	// clean is the CleanFact table: functions hotpath has proven
+	// allocation-free. One map serves every package of a Check, so a
+	// proof made in a dependency is visible to its importers.
+	clean  map[*types.Func]bool
+	report func(token.Pos, string)
+}
+
+// Reportf emits a diagnostic at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
+	p.report(pos, fmt.Sprintf(format, args...))
+}
+
+// Analyzers returns the full pclint suite, in the order it runs. The
+// names are the valid targets of //repro:allow.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{
 		HotPathAnalyzer,
-		AtomicMixAnalyzer,
+		AtomicFuncAnalyzer,
 		ArenaAppendAnalyzer,
 		UnsafeAliasAnalyzer,
-		MetricDefsAnalyzer,
 		ReproAllowAnalyzer,
 	}
 }
@@ -114,15 +135,15 @@ type directiveIndex struct {
 	all []directive
 }
 
-// collectDirectives scans all comments of the package under analysis.
-func collectDirectives(pass *analysis.Pass) *directiveIndex {
+// collectDirectives scans all comments of one package.
+func collectDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 	idx := &directiveIndex{
-		fset:     pass.Fset,
+		fset:     fset,
 		funcDir:  make(map[*ast.FuncDecl][]directive),
 		fieldDir: make(map[*ast.Field][]directive),
 		allows:   make(map[string]map[int]map[string]bool),
 	}
-	for _, f := range pass.Files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				d, ok := parseDirective(c)
@@ -131,7 +152,7 @@ func collectDirectives(pass *analysis.Pass) *directiveIndex {
 				}
 				idx.all = append(idx.all, d)
 				if d.kind == "allow" && d.arg != "" {
-					p := pass.Fset.Position(c.Pos())
+					p := fset.Position(c.Pos())
 					byLine := idx.allows[p.Filename]
 					if byLine == nil {
 						byLine = make(map[int]map[string]bool)
@@ -197,8 +218,8 @@ func (idx *directiveIndex) allowed(name string, pos token.Pos) bool {
 }
 
 // report emits a diagnostic unless an allow suppresses it.
-func report(pass *analysis.Pass, idx *directiveIndex, pos token.Pos, format string, args ...interface{}) {
-	if idx.allowed(pass.Analyzer.Name, pos) {
+func report(pass *Pass, pos token.Pos, format string, args ...interface{}) {
+	if pass.dirs.allowed(pass.Analyzer.Name, pos) {
 		return
 	}
 	pass.Reportf(pos, format, args...)

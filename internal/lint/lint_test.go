@@ -14,8 +14,24 @@ import (
 
 func TestHotPath(t *testing.T)     { linttest.Run(t, "hotpath", lint.HotPathAnalyzer) }
 func TestHotRoots(t *testing.T)    { linttest.Run(t, "hotroots", lint.HotPathAnalyzer) }
-func TestAtomicMix(t *testing.T)   { linttest.Run(t, "atomicmix", lint.AtomicMixAnalyzer) }
+func TestAtomicFunc(t *testing.T)  { linttest.Run(t, "atomicfunc", lint.AtomicFuncAnalyzer) }
 func TestArenaAppend(t *testing.T) { linttest.Run(t, "arenaappend", lint.ArenaAppendAnalyzer) }
 func TestUnsafeAlias(t *testing.T) { linttest.Run(t, "unsafealias", lint.UnsafeAliasAnalyzer) }
-func TestMetricDefs(t *testing.T)  { linttest.Run(t, "metricdefs", lint.MetricDefsAnalyzer) }
 func TestReproAllow(t *testing.T)  { linttest.Run(t, "reproallow", lint.ReproAllowAnalyzer) }
+
+// hotx imports hotdep: the clean proof of hotdep.Clean and the missing
+// one for hotdep.Dirty must cross the package boundary.
+func TestHotPathCrossPackage(t *testing.T) { linttest.Run(t, "hotx", lint.HotPathAnalyzer) }
+
+// The module itself must be lint-clean (default build, tests included),
+// so a violated contract fails `go test ./...`. The other build
+// configurations run in CI's lint job.
+func TestModuleClean(t *testing.T) {
+	diags, err := lint.Check(".", lint.Analyzers(), "repro/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s: %s", d.Pos, d.Message)
+	}
+}

@@ -1,149 +1,40 @@
-// Package linttest is a miniature analysistest: it parses and
-// type-checks a testdata package from source, runs one analyzer over
-// it with in-memory facts, and matches the diagnostics against
-// `// want "regexp"` comments, reporting both missed and unexpected
-// diagnostics. It exists because the module vendors only the analysis
-// core (analysis, unitchecker, asmdecl, inspect) — not analysistest
-// and its go/packages dependency tree — and the container has no
-// network to fetch them; the harness needs nothing beyond the stdlib
-// plus the vendored analysis types.
+// Package linttest checks analyzers against testdata packages: it runs
+// them over testdata/src/<pkg> with lint.Check — the driver pclint
+// uses — and matches the diagnostics against `// want "regexp"`
+// comments, reporting both missed and unexpected diagnostics.
 package linttest
 
 import (
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
+	"repro/internal/lint"
 )
 
 // Run analyzes testdata/src/<pkg> (relative to the test's working
-// directory) with a and compares diagnostics against // want
-// expectations.
-func Run(t *testing.T, pkg string, a *analysis.Analyzer) {
+// directory; its imports are loaded and analyzed with it, as
+// dependencies) with a and compares the diagnostics against the
+// // want expectations in pkg's files.
+func Run(t *testing.T, pkg string, a *lint.Analyzer) {
 	t.Helper()
-	dir := filepath.Join("testdata", "src", pkg)
-	fset := token.NewFileSet()
-
-	entries, err := os.ReadDir(dir)
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", pkg))
 	if err != nil {
-		t.Fatalf("reading %s: %v", dir, err)
+		t.Fatal(err)
 	}
-	var files []*ast.File
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		name := filepath.Join(dir, e.Name())
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatalf("parsing %s: %v", name, err)
-		}
-		files = append(files, f)
-		names = append(names, name)
-	}
-	if len(files) == 0 {
-		t.Fatalf("no Go files in %s", dir)
-	}
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{Importer: unsafeAwareImporter{importer.ForCompiler(fset, "source", nil)}}
-	tpkg, err := conf.Check(pkg, fset, files, info)
+	diags, err := lint.Check(dir, []*lint.Analyzer{a}, ".")
 	if err != nil {
-		t.Fatalf("type-checking %s: %v", dir, err)
+		t.Fatal(err)
 	}
-
-	var diags []analysis.Diagnostic
-	objFacts := make(map[types.Object][]analysis.Fact)
-	pkgFacts := make(map[*types.Package][]analysis.Fact)
-	pass := &analysis.Pass{
-		Analyzer:   a,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        tpkg,
-		TypesInfo:  info,
-		TypesSizes: types.SizesFor("gc", "amd64"),
-		ResultOf:   make(map[*analysis.Analyzer]interface{}),
-		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
-		ReadFile:   os.ReadFile,
-		ImportObjectFact: func(obj types.Object, fact analysis.Fact) bool {
-			return lookupFact(objFacts[obj], fact)
-		},
-		ExportObjectFact: func(obj types.Object, fact analysis.Fact) {
-			objFacts[obj] = append(objFacts[obj], fact)
-		},
-		ImportPackageFact: func(p *types.Package, fact analysis.Fact) bool {
-			return lookupFact(pkgFacts[p], fact)
-		},
-		ExportPackageFact: func(fact analysis.Fact) {
-			pkgFacts[tpkg] = append(pkgFacts[tpkg], fact)
-		},
-		AllObjectFacts: func() []analysis.ObjectFact {
-			var out []analysis.ObjectFact
-			for obj, fs := range objFacts {
-				for _, f := range fs {
-					out = append(out, analysis.ObjectFact{Object: obj, Fact: f})
-				}
-			}
-			return out
-		},
-		AllPackageFacts: func() []analysis.PackageFact {
-			var out []analysis.PackageFact
-			for p, fs := range pkgFacts {
-				for _, f := range fs {
-					out = append(out, analysis.PackageFact{Package: p, Fact: f})
-				}
-			}
-			return out
-		},
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no Go files in %s (%v)", dir, err)
 	}
-	if _, err := a.Run(pass); err != nil {
-		t.Fatalf("%s failed: %v", a.Name, err)
-	}
-
-	checkExpectations(t, fset, names, files, diags)
-}
-
-// lookupFact copies a stored fact of the same concrete type into the
-// caller's pointer, mirroring the gob round-trip of real drivers.
-func lookupFact(stored []analysis.Fact, fact analysis.Fact) bool {
-	want := reflect.TypeOf(fact)
-	for _, f := range stored {
-		if reflect.TypeOf(f) == want {
-			reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(f).Elem())
-			return true
-		}
-	}
-	return false
-}
-
-type unsafeAwareImporter struct{ base types.Importer }
-
-func (i unsafeAwareImporter) Import(path string) (*types.Package, error) {
-	if path == "unsafe" {
-		return types.Unsafe, nil
-	}
-	return i.base.Import(path)
+	checkExpectations(t, names, diags)
 }
 
 // expectation is one `// want "re"` on a line; several regexps may sit
@@ -161,82 +52,54 @@ type expectation struct {
 // carry a second comment).
 var wantRE = regexp.MustCompile(`// want(-prev)? (.*)$`)
 
-func checkExpectations(t *testing.T, fset *token.FileSet, names []string, files []*ast.File, diags []analysis.Diagnostic) {
+// quotedRE matches one double-quoted Go string in a want clause.
+var quotedRE = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
+
+func checkExpectations(t *testing.T, names []string, diags []lint.Diagnostic) {
 	t.Helper()
 	var wants []*expectation
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRE.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
+	for _, name := range names {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, text := range strings.Split(string(src), "\n") {
+			m := wantRE.FindStringSubmatch(text)
+			if m == nil {
+				continue
+			}
+			line := i + 1
+			pos := fmt.Sprintf("%s:%d", name, line)
+			if m[1] == "-prev" {
+				line--
+			}
+			for _, q := range quotedRE.FindAllString(m[2], -1) {
+				pat, err := strconv.Unquote(q)
+				if err != nil {
+					t.Fatalf("%s: bad want pattern %s: %v", pos, q, err)
 				}
-				pos := fset.Position(c.Pos())
-				line := pos.Line
-				if m[1] == "-prev" {
-					line--
+				re, err := regexp.Compile(pat)
+				if err != nil {
+					t.Fatalf("%s: bad want regexp %q: %v", pos, pat, err)
 				}
-				for _, q := range splitQuoted(m[2]) {
-					pat, err := strconv.Unquote(q)
-					if err != nil {
-						t.Fatalf("%s: bad want pattern %s: %v", pos, q, err)
-					}
-					re, err := regexp.Compile(pat)
-					if err != nil {
-						t.Fatalf("%s: bad want regexp %q: %v", pos, pat, err)
-					}
-					wants = append(wants, &expectation{pos.Filename, line, re, false})
-				}
+				wants = append(wants, &expectation{name, line, re, false})
 			}
 		}
 	}
 
-	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
-	var surplus []string
 diag:
 	for _, d := range diags {
-		pos := fset.Position(d.Pos)
 		for _, w := range wants {
-			if !w.hit && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {
+			if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
 				w.hit = true
 				continue diag
 			}
 		}
-		surplus = append(surplus, fmt.Sprintf("%s: unexpected diagnostic: %s", pos, d.Message))
-	}
-	for _, s := range surplus {
-		t.Errorf("%s", s)
+		t.Errorf("%s: unexpected diagnostic: %s", d.Pos, d.Message)
 	}
 	for _, w := range wants {
 		if !w.hit {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
-	}
-}
-
-// splitQuoted extracts the double-quoted strings from a want clause.
-func splitQuoted(s string) []string {
-	var out []string
-	for {
-		i := strings.IndexByte(s, '"')
-		if i < 0 {
-			return out
-		}
-		j := i + 1
-		for j < len(s) {
-			if s[j] == '\\' {
-				j += 2
-				continue
-			}
-			if s[j] == '"' {
-				break
-			}
-			j++
-		}
-		if j >= len(s) {
-			return out
-		}
-		out = append(out, s[i:j+1])
-		s = s[j+1:]
 	}
 }

@@ -7,21 +7,25 @@ package lint
 // carry a justification; unknown //repro: directives are flagged
 // (usually a typo that would otherwise silently disable a check).
 
-import "golang.org/x/tools/go/analysis"
+import (
+	"slices"
+	"strings"
+)
 
-var ReproAllowAnalyzer = &analysis.Analyzer{
+var ReproAllowAnalyzer = &Analyzer{
 	Name: "reproallow",
-	Doc:  "//repro: directives must be well-formed: known kinds, real analyzer names, mandatory justifications",
-	Run:  runReproAllow,
 }
 
-func runReproAllow(pass *analysis.Pass) (interface{}, error) {
-	idx := collectDirectives(pass)
-	known := make(map[string]bool, len(AnalyzerNames))
-	for _, n := range AnalyzerNames {
-		known[n] = true
+// Run reads Analyzers(), which lists ReproAllowAnalyzer: set in the
+// variable's initializer that would be an initialization cycle.
+func init() { ReproAllowAnalyzer.Run = runReproAllow }
+
+func runReproAllow(pass *Pass) {
+	var known []string
+	for _, a := range Analyzers() {
+		known = append(known, a.Name)
 	}
-	for _, d := range idx.all {
+	for _, d := range pass.dirs.all {
 		switch d.kind {
 		case "hotpath", "arena":
 			// marker directives: no argument, no justification needed
@@ -30,8 +34,8 @@ func runReproAllow(pass *analysis.Pass) (interface{}, error) {
 				pass.Reportf(d.pos, "//repro:%s requires a justification (//repro:%s <why>)", d.kind, d.kind)
 			}
 		case "allow":
-			if !known[d.arg] {
-				pass.Reportf(d.pos, "//repro:allow names unknown analyzer %q (known: hotpath, atomicmix, arenaappend, unsafealias, metricdefs, reproallow)", d.arg)
+			if !slices.Contains(known, d.arg) {
+				pass.Reportf(d.pos, "//repro:allow names unknown analyzer %q (known: %s)", d.arg, strings.Join(known, ", "))
 			}
 			if d.why == "" {
 				pass.Reportf(d.pos, "//repro:allow requires a justification (//repro:allow <analyzer> -- <why>)")
@@ -40,5 +44,4 @@ func runReproAllow(pass *analysis.Pass) (interface{}, error) {
 			pass.Reportf(d.pos, "unknown directive //repro:%s", d.kind)
 		}
 	}
-	return nil, nil
 }

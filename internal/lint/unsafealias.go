@@ -17,18 +17,15 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
 )
 
-var UnsafeAliasAnalyzer = &analysis.Analyzer{
+var UnsafeAliasAnalyzer = &Analyzer{
 	Name: "unsafealias",
-	Doc:  "unsafe.Pointer conversions only inside //repro:unsafe-shape functions, with alignment checks in scope",
 	Run:  runUnsafeAlias,
 }
 
-func runUnsafeAlias(pass *analysis.Pass) (interface{}, error) {
-	idx := collectDirectives(pass)
+func runUnsafeAlias(pass *Pass) {
+	idx := pass.dirs
 	info := pass.TypesInfo
 
 	isUnsafePtr := func(t types.Type) bool {
@@ -129,13 +126,13 @@ func runUnsafeAlias(pass *analysis.Pass) (interface{}, error) {
 					return true
 				}
 				if !blessed {
-					report(pass, idx, call.Pos(),
+					report(pass, call.Pos(),
 						"unsafe.Pointer conversion in %s: only //repro:unsafe-shape functions may alias memory",
 						where())
 					return true
 				}
 				if toPtr && dst != nil && needsAlign(dst) && body != nil && !hasAlignGuard(body) {
-					report(pass, idx, call.Pos(),
+					report(pass, call.Pos(),
 						"unsafe conversion to %s without an alignment check in scope (add a uintptr%%align guard)",
 						dst.String())
 				}
@@ -143,5 +140,4 @@ func runUnsafeAlias(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
 }

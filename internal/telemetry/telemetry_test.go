@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -239,6 +240,34 @@ func TestWritePromFamilies(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// Every sample line belongs to a registered family and follows that
+	// family's TYPE line.
+	registered := make(map[string]bool)
+	for _, name := range MetricNames() {
+		registered[name] = true
+	}
+	typed := make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			typed[strings.Fields(name)[0]] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		fam := line[:strings.IndexAny(line, "{ ")]
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(fam, suffix); ok && registered[base] {
+				fam = base
+			}
+		}
+		if !registered[fam] {
+			t.Errorf("sample %q: family %s is not in MetricNames()", line, fam)
+		}
+		if !typed[fam] {
+			t.Errorf("sample %q precedes the TYPE line of %s", line, fam)
+		}
+	}
 	// Cumulative bucket sanity: the le edges of a family must carry
 	// non-decreasing counts.
 	var prev float64 = -1
@@ -254,6 +283,40 @@ func TestWritePromFamilies(t *testing.T) {
 			t.Errorf("bucket counts not cumulative: %q after %v", line, prev)
 		}
 		prev = v
+	}
+}
+
+// A collector can only contribute to a registered family.
+func TestWritePromUnregisteredCollectorFamily(t *testing.T) {
+	r := New()
+	r.RegisterCollector(func(emit func(string, float64)) { emit("repro_no_such_family", 1) })
+	if err := r.WriteProm(io.Discard); err == nil {
+		t.Error("WriteProm accepted a collector sample with no registered family")
+	}
+}
+
+// Every Counter, Gauge and Hist field of Recorder must be the source of
+// a registry row: a metric field nobody can scrape is the omission the
+// table cannot rule out by construction.
+func TestRegistryCoversRecorder(t *testing.T) {
+	r := New()
+	exposed := make(map[uintptr]bool) // addresses of the fields rows read
+	for _, f := range r.families() {
+		switch src := f.src.(type) {
+		case derived:
+			exposed[reflect.ValueOf(src.g).Pointer()] = true
+		case *Counter, *Gauge, *Hist:
+			exposed[reflect.ValueOf(src).Pointer()] = true
+		}
+	}
+	v := reflect.ValueOf(r).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch v.Field(i).Type() {
+		case reflect.TypeOf(Counter{}), reflect.TypeOf(Gauge{}), reflect.TypeOf(Hist{}):
+			if !exposed[v.Field(i).Addr().Pointer()] {
+				t.Errorf("Recorder.%s has no row in families()", v.Type().Field(i).Name)
+			}
+		}
 	}
 }
 

@@ -241,8 +241,8 @@ func TestTelemetryHTTPDuringChurn(t *testing.T) {
 		"repro_deltas_applied_total", "repro_cache_hits_total",
 		"repro_tree_degradation", "repro_snapshot_age_seconds",
 	} {
-		if !strings.Contains(body, fam) {
-			t.Errorf("scrape missing family %s", fam)
+		if !strings.Contains(body, "\n"+fam+" ") {
+			t.Errorf("scrape has no sample of family %s", fam)
 		}
 	}
 	if got := metricValue(body, "repro_epoch"); got != float64(a.Epoch()) {
