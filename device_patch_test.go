@@ -2,6 +2,9 @@ package repro
 
 import (
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/hwsim"
 )
 
 // TestDeviceWordPatching pins the facade's lazy word-level device
@@ -14,10 +17,11 @@ func TestDeviceWordPatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := BuildAccelerator(rs, Config{RecompileThreshold: -1})
+	acc, err := BuildAccelerator(rs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc.threshold = -1
 	trace := GenerateTrace(rs, 500, 5)
 	base := acc.DeviceWriteCycles()
 	if base == 0 {
@@ -49,7 +53,7 @@ func TestDeviceWordPatching(t *testing.T) {
 			t.Fatalf("update %d: %v", i, err)
 		}
 		acc.mu.Lock()
-		err := acc.sim.VerifyImage(acc.tree)
+		err := acc.dev.sim.VerifyImage(acc.tree)
 		acc.mu.Unlock()
 		if err != nil {
 			t.Fatalf("update %d: %v", i, err)
@@ -79,7 +83,7 @@ func TestDeviceWordPatching(t *testing.T) {
 		t.Fatal(acc.LoadError())
 	}
 	acc.mu.Lock()
-	err = acc.sim.VerifyImage(acc.tree)
+	err = acc.dev.sim.VerifyImage(acc.tree)
 	acc.mu.Unlock()
 	if err != nil {
 		t.Fatalf("after recompile: %v", err)
@@ -93,10 +97,11 @@ func TestDeviceWordPatchingWithBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := BuildAccelerator(rs, Config{Algorithm: HiCuts, RecompileThreshold: -1})
+	acc, err := BuildAccelerator(rs, Config{Algorithm: HiCuts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc.threshold = -1
 	pool, err := GenerateRuleset("ipc1", 40, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -119,9 +124,48 @@ func TestDeviceWordPatchingWithBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc.mu.Lock()
-	err = acc.sim.VerifyImage(acc.tree)
+	err = acc.dev.sim.VerifyImage(acc.tree)
 	acc.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeviceAnalyticRungEqualsSimulator pins the ladder's second rung to
+// its first: on structures that do load, the Eq. 5/7 walk the device
+// model answers from once a structure has outgrown the device must
+// reproduce the simulator — per-packet match, latency and memory reads,
+// and the trace statistics field for field.
+func TestDeviceAnalyticRungEqualsSimulator(t *testing.T) {
+	for _, profile := range []string{"acl1", "fw1"} {
+		for _, algo := range []Algorithm{HiCuts, HyperCuts} {
+			for _, compact := range []bool{true, false} {
+				rs, err := GenerateRuleset(profile, 400, 91)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree, err := core.Build(rs, coreConfig(Config{Algorithm: algo, CompactLeaves: compact}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				loaded, walked := device{hw: hwsim.ASIC}, device{hw: hwsim.ASIC}
+				if err := loaded.sync(tree); err != nil {
+					t.Fatalf("%s/%v/compact=%v does not load: %v", profile, algo, compact, err)
+				}
+				trace := GenerateTrace(rs, 2000, 92)
+				simMatches, simStats := loaded.run(tree, nil, trace)
+				walkMatches, walkStats := walked.run(tree, nil, trace)
+				if walked.sim != nil || simStats != walkStats {
+					t.Fatalf("%s/%v/compact=%v: simulator %+v, walk %+v", profile, algo, compact, simStats, walkStats)
+				}
+				for i, p := range trace {
+					if r := walked.classify(tree, nil, p); r != loaded.sim.ClassifyOne(p) ||
+						r.Match != simMatches[i] || r.Match != walkMatches[i] {
+						t.Fatalf("%s/%v/compact=%v packet %d: walk %+v, simulator %+v",
+							profile, algo, compact, i, r, loaded.sim.ClassifyOne(p))
+					}
+				}
+			}
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -127,10 +128,11 @@ func TestSaveImageRestoreAfterChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := BuildAccelerator(rs, Config{RecompileThreshold: -1})
+	src, err := BuildAccelerator(rs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	src.threshold = -1
 	defer src.Close()
 	pool, err := GenerateRuleset("ipc1", 60, 32)
 	if err != nil {
@@ -150,10 +152,13 @@ func TestSaveImageRestoreAfterChurn(t *testing.T) {
 	for i := range full {
 		full[i].ID = i
 	}
-	dst, err := BuildAccelerator(full, Config{RestorePath: path, RecompileThreshold: -1})
+	dst, err := BuildAccelerator(full, Config{RestorePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dst.mu.Lock()
+	dst.threshold = -1
+	dst.mu.Unlock()
 	defer dst.Close()
 	got := classifyAll(dst, trace) // pre-reconcile: the churned image serves
 	for i := range want {
@@ -211,6 +216,100 @@ func TestRestoreFailsClosedFacade(t *testing.T) {
 	}
 }
 
+// The third rung: a restored image whose control-plane rebuild fails (rs
+// carries a duplicate rule ID, which core.Build rejects) keeps serving
+// from the restored engine on every path, fails updates closed with the
+// rebuild's error, reports no tree quantities, and never blocks
+// telemetry or Close.
+func TestRestoreTreeRebuildFails(t *testing.T) {
+	rs, err := GenerateRuleset("acl1", 300, 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := BuildAccelerator(rs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	path := saveImageFile(t, src)
+	trace := GenerateTrace(rs, 1024, 82)
+	want := classifyAll(src, trace)
+
+	bad := append(RuleSet{}, rs...)
+	bad[1].ID = bad[0].ID
+	a, err := BuildAccelerator(bad, Config{RestorePath: path, TelemetryAddr: "127.0.0.1:0", CacheSize: 64})
+	if err != nil {
+		t.Fatalf("restore with an unbuildable ruleset must still serve the image: %v", err)
+	}
+	// The data plane serves the image whether or not the rebuild is done.
+	var in, out bytes.Buffer
+	if err := rule.WriteTrace(&in, trace); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := a.ClassifyStream(&in, &out); err != nil || n != int64(len(trace)) {
+		t.Fatalf("ClassifyStream = %d, %v", n, err)
+	}
+	lines := strings.Fields(out.String())
+	for i, got := range classifyAll(a, trace) {
+		if got != want[i] || lines[i] != strconv.Itoa(int(want[i])) {
+			t.Fatalf("packet %d: batch %d, stream %s, want %d", i, got, lines[i], want[i])
+		}
+	}
+
+	a.WaitMaintenance()
+	r := rs[0]
+	r.ID = len(rs)
+	for name, err := range map[string]error{
+		"Insert":      a.Insert(r),
+		"Delete":      a.Delete(0),
+		"InsertBatch": a.InsertBatch([]Rule{r}),
+		"DeleteBatch": a.DeleteBatch([]int{0, 1}),
+	} {
+		if err == nil || !strings.Contains(err.Error(), "duplicate ID") {
+			t.Errorf("%s on a tree-less accelerator: %v, want the rebuild error", name, err)
+		}
+	}
+	if a.Epoch() != 0 {
+		t.Errorf("epoch %d: a failed update published", a.Epoch())
+	}
+	// The hardware-model methods come down to the restored engine.
+	matches, st := a.Run(trace)
+	if st.Packets != int64(len(trace)) || st.Cycles != 0 || st.EnergyPerPacketJ != 0 {
+		t.Errorf("Run stats without a tree: %+v", st)
+	}
+	for i, p := range trace {
+		m, lat, reads := a.ClassifyDetailed(p)
+		if got := a.Classify(p); got != int(want[i]) || m != got || matches[i] != got || lat != 0 || reads != 0 {
+			t.Fatalf("packet %d: Classify %d, Detailed (%d,%d,%d), Run %d, want %d", i, got, m, lat, reads, matches[i], want[i])
+		}
+	}
+	if a.MemoryBytes() != 0 || a.Words() != 0 || a.WorstCaseCycles() != 0 ||
+		a.GuaranteedPPS() != 0 || a.Degradation() != 0 || a.DeviceWriteCycles() != 0 {
+		t.Error("tree quantities nonzero without a tree")
+	}
+	if err := a.LoadError(); err == nil || !strings.Contains(err.Error(), "duplicate ID") {
+		t.Errorf("LoadError = %v, want the rebuild error", err)
+	}
+	a.Recompile() // no tree: a no-op
+	if snap := a.Telemetry(); snap.Recompiles != 0 || snap.Degradation != 0 || snap.Epoch != 0 {
+		t.Errorf("telemetry without a tree: recompiles %d, degradation %v, epoch %d", snap.Recompiles, snap.Degradation, snap.Epoch)
+	}
+	resp, err := http.Get("http://" + a.TelemetryAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "repro_tree_") {
+			t.Errorf("scrape carries a tree sample without a tree: %s", line)
+		}
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Close must be idempotent and safe against concurrent classification,
 // in-flight background recompiles, and telemetry scrapes. Run with
 // -race this also shakes out the maint.Add-vs-Wait ordering.
@@ -220,13 +319,13 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, err := BuildAccelerator(rs, Config{
-		TelemetryAddr:      "127.0.0.1:0",
-		CacheSize:          1 << 10,
-		RecompileThreshold: 0.01, // trip background recompiles eagerly
+		TelemetryAddr: "127.0.0.1:0",
+		CacheSize:     1 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.threshold = 0.01 // trip background recompiles eagerly
 	addr := a.TelemetryAddr()
 	trace := GenerateTrace(rs, 512, 52)
 	out := make([]int32, len(trace))
@@ -246,7 +345,7 @@ func TestCloseIdempotentConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	// Churn that trips maybeRecompileLocked while Close runs.
+	// Churn that trips the recompile trigger (publishLocked) while Close runs.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -11,6 +11,14 @@ import (
 	"repro/internal/rule"
 )
 
+// classifyOneCached classifies p as a one-packet batch through the flow
+// cache.
+func classifyOneCached(h *Handle, p rule.Packet) int {
+	var out [1]int32
+	h.ClassifyBatchCached([]rule.Packet{p}, out[:])
+	return int(out[0])
+}
+
 // TestCachedClassifyDifferentialChurn is the cache correctness contract:
 // cached classification stays packet-exact against both engine.Classify
 // and core.Tree.Classify across >= 1000 randomized live Insert/Delete
@@ -51,7 +59,7 @@ func TestCachedClassifyDifferentialChurn(t *testing.T) {
 					defer wg.Done()
 					for !stop.Load() {
 						for _, p := range probeTrace {
-							if id := h.ClassifyCached(p); id < -1 || id >= maxID {
+							if id := classifyOneCached(h, p); id < -1 || id >= maxID {
 								readerBad.Store(int64(id))
 								return
 							}
@@ -73,7 +81,7 @@ func TestCachedClassifyDifferentialChurn(t *testing.T) {
 					if got := s.Engine().Classify(p); got != want {
 						t.Fatalf("step %d: engine=%d tree=%d", step, got, want)
 					}
-					if got := h.ClassifyCached(p); got != want {
+					if got := classifyOneCached(h, p); got != want {
 						t.Fatalf("step %d: cached=%d tree=%d (epoch %d)", step, got, want, s.Epoch())
 					}
 				}
@@ -143,7 +151,7 @@ func TestCachedClassifyDifferentialChurn(t *testing.T) {
 			final := classbench.GenerateFlowTrace(rs, 2000, 128, 8, 66)
 			for i, p := range final {
 				want := tree.Classify(p)
-				if got := h.ClassifyCached(p); got != want {
+				if got := classifyOneCached(h, p); got != want {
 					t.Fatalf("final packet %d: cached=%d tree=%d", i, got, want)
 				}
 				if got := h.Current().Engine().Classify(p); got != want {

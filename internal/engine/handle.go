@@ -93,48 +93,6 @@ func (h *Handle) EnableCache(entries int) *flowcache.Cache {
 // Cache returns the attached flow cache, or nil when caching is disabled.
 func (h *Handle) Cache() *flowcache.Cache { return h.cache.Load() }
 
-// ClassifyCached returns the highest-priority matching rule ID for p, or
-// -1, consulting the flow cache first. The answer is always packet-exact
-// for the epoch it was served at: a hit requires the entry's stamp to
-// equal the snapshot's epoch, and any update bumps the epoch, so entries
-// that could have been invalidated never hit — they fall through to the
-// tree walk and repopulate.
-//
-//repro:hotpath
-func (h *Handle) ClassifyCached(p rule.Packet) int {
-	s := h.cur.Load()
-	c := h.cache.Load()
-	// Sampled latency: every classifySampleEvery-th single classify is
-	// timed. The untimed calls pay one atomic add.
-	if tel := h.tel.Load(); tel != nil {
-		if tel.Singles.Next()&(classifySampleEvery-1) == 0 {
-			//repro:allow hotpath -- documented sampled site: one clock read per classifySampleEvery packets
-			start := time.Now()
-			rid := classifyCachedOne(s, c, p)
-			//repro:allow hotpath -- documented sampled site: paired clock read for the sampled latency observe
-			tel.ClassifyNs.Observe(int64(time.Since(start)))
-			return rid
-		}
-	}
-	return classifyCachedOne(s, c, p)
-}
-
-// classifySampleEvery is the single-packet latency sampling period
-// (power of two).
-const classifySampleEvery = 64
-
-func classifyCachedOne(s *Snapshot, c *flowcache.Cache, p rule.Packet) int {
-	if c == nil {
-		return s.eng.Classify(p)
-	}
-	if rid, ok := c.Lookup(p, s.epoch); ok {
-		return int(rid)
-	}
-	rid := s.eng.Classify(p)
-	c.Insert(p, s.epoch, int32(rid))
-	return rid
-}
-
 // ClassifyBatchCached classifies pkts[i] into out[i] through the flow
 // cache, capturing one snapshot for the whole batch (updates land between
 // batches, never mid-batch). It allocates nothing; out must be at least

@@ -243,25 +243,16 @@ func imgErr(sec uint32, format string, args ...any) error {
 	return &image.FormatError{Offset: -1, Section: sec, Msg: fmt.Sprintf(format, args...)}
 }
 
-// RestoreEngine decodes and validates an engine image, returning a
+// RestoreEngineBytes decodes and validates an engine image held in
+// memory (mapped file, os.ReadFile, in-process snapshot), returning a
 // ready-to-serve Engine. Every failure — container corruption or an
 // engine-level invariant violation — is a *image.FormatError; on
 // success the engine is re-stamped for this host (scan kernel, SoA
 // sweep pointers and padding) and is safe for immediate concurrent
-// classification and for further patching via Patch/PatchBatch.
-func RestoreEngine(r io.Reader) (*Engine, error) {
-	secs, err := image.Read(r)
-	if err != nil {
-		return nil, err
-	}
-	return restoreSections(secs)
-}
-
-// RestoreEngineBytes is RestoreEngine over an image already in memory
-// (mapped file, os.ReadFile, in-process snapshot): the restored
-// engine's arenas alias b on little-endian hosts, so the whole restore
-// allocates only the chunked leaf table. b must not be mutated while
-// the engine is alive.
+// classification and for further patching via Patch/PatchBatch. The
+// restored engine's arenas alias b on little-endian hosts, so the whole
+// restore allocates only the chunked leaf table. b must not be mutated
+// while the engine is alive.
 func RestoreEngineBytes(b []byte) (*Engine, error) {
 	secs, err := image.ReadBytes(b)
 	if err != nil {
@@ -270,8 +261,10 @@ func RestoreEngineBytes(b []byte) (*Engine, error) {
 	return restoreSections(secs)
 }
 
-// RestoreBytes is Restore over an in-memory image (see
-// RestoreEngineBytes for the aliasing contract).
+// RestoreBytes restores an engine image (see RestoreEngineBytes) and
+// publishes it as a serving Handle epoch — the replica cold-start path:
+// no Build, no Compile, ready for Classify and for catch-up deltas via
+// ApplyBatch.
 func RestoreBytes(b []byte) (*Handle, error) {
 	e, err := RestoreEngineBytes(b)
 	if err != nil {
@@ -393,17 +386,6 @@ func restoreSections(secs []image.Section) (*Engine, error) {
 	e.setLeaves(flat)
 	e.soa.pad()
 	return e, nil
-}
-
-// Restore decodes an engine image and publishes it as a serving Handle
-// epoch — the replica cold-start path: no Build, no Compile, ready for
-// Classify and for catch-up deltas via ApplyBatch.
-func Restore(r io.Reader) (*Handle, error) {
-	e, err := RestoreEngine(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewHandle(e), nil
 }
 
 // validateRestored checks every structural invariant the classify path

@@ -60,9 +60,9 @@ func TestImageRoundTrip(t *testing.T) {
 			t.Run(algo.String(), func(t *testing.T) {
 				_, eng, live := buildChurned(t, algo, 400, churn, 11)
 				img := snapshotBytes(t, eng)
-				got, err := RestoreEngine(bytes.NewReader(img))
+				got, err := RestoreEngineBytes(img)
 				if err != nil {
-					t.Fatalf("RestoreEngine: %v", err)
+					t.Fatalf("RestoreEngineBytes: %v", err)
 				}
 				if !eng.LayoutEqual(got) {
 					t.Fatal("restored engine layout differs from source")
@@ -98,9 +98,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 	// A snapshot of a restored engine must reproduce the image exactly:
 	// restore is lossless up to host-derived state.
 	img := snapshotBytes(t, eng)
-	got, err := RestoreEngine(bytes.NewReader(img))
+	got, err := RestoreEngineBytes(img)
 	if err != nil {
-		t.Fatalf("RestoreEngine: %v", err)
+		t.Fatalf("RestoreEngineBytes: %v", err)
 	}
 	if !bytes.Equal(img, snapshotBytes(t, got)) {
 		t.Fatal("snapshot(restore(image)) != image")
@@ -138,9 +138,9 @@ func TestImageReplicaCatchUp(t *testing.T) {
 			tree, eng, live := buildChurned(t, algo, 500, 40, 21)
 			hA := NewHandle(eng)
 
-			hB, err := Restore(bytes.NewReader(snapshotBytes(t, eng)))
+			hB, err := RestoreBytes(snapshotBytes(t, eng))
 			if err != nil {
-				t.Fatalf("Restore: %v", err)
+				t.Fatalf("RestoreBytes: %v", err)
 			}
 
 			const updates = 1000
@@ -213,7 +213,7 @@ func TestImageReplicaCatchUp(t *testing.T) {
 // reject.
 func mutateSection(t *testing.T, img []byte, id uint32, fn func([]byte) []byte) []byte {
 	t.Helper()
-	secs, err := image.Read(bytes.NewReader(img))
+	secs, err := image.ReadBytes(img)
 	if err != nil {
 		t.Fatalf("mutateSection: %v", err)
 	}
@@ -230,7 +230,7 @@ func mutateSection(t *testing.T, img []byte, id uint32, fn func([]byte) []byte) 
 }
 
 // TestRestoreRejectsForgedImages drives checksum-valid images with
-// broken engine invariants through RestoreEngine: every one must fail
+// broken engine invariants through RestoreEngineBytes: every one must fail
 // closed with a *image.FormatError — never panic, never produce an
 // engine.
 func TestRestoreRejectsForgedImages(t *testing.T) {
@@ -281,7 +281,7 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := mutateSection(t, img, tc.sec, tc.fn)
-			e, err := RestoreEngine(bytes.NewReader(bad))
+			e, err := RestoreEngineBytes(bad)
 			if err == nil {
 				t.Fatal("forged image restored without error")
 			}
@@ -290,13 +290,13 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 				t.Fatalf("error %T (%v) is not a *image.FormatError", err, err)
 			}
 			if e != nil {
-				t.Fatal("RestoreEngine returned an engine alongside an error")
+				t.Fatal("RestoreEngineBytes returned an engine alongside an error")
 			}
 		})
 	}
 
 	t.Run("missing-section", func(t *testing.T) {
-		secs, err := image.Read(bytes.NewReader(img))
+		secs, err := image.ReadBytes(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 		if _, err := image.Write(&buf, secs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := RestoreEngine(bytes.NewReader(buf.Bytes())); err == nil {
+		if _, err := RestoreEngineBytes(buf.Bytes()); err == nil {
 			t.Fatal("image with a missing engine section restored")
 		}
 	})
@@ -315,10 +315,10 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 		for off := 0; off < len(img); off += 7 {
 			bad := bytes.Clone(img)
 			bad[off] ^= 1 << (off % 8)
-			if _, err := RestoreEngine(bytes.NewReader(bad)); err == nil {
+			if _, err := RestoreEngineBytes(bad); err == nil {
 				t.Fatalf("bit flip at %d restored cleanly", off)
 			}
-			if _, err := RestoreEngine(bytes.NewReader(img[:off])); err == nil {
+			if _, err := RestoreEngineBytes(img[:off]); err == nil {
 				t.Fatalf("truncation at %d restored cleanly", off)
 			}
 		}
@@ -332,7 +332,8 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 func TestRestoredEnginePatches(t *testing.T) {
 	tree, eng, live := buildChurned(t, core.HyperCuts, 300, 0, 41)
 	img := snapshotBytes(t, eng)
-	rep, err := RestoreEngine(bytes.NewReader(img))
+	buf := bytes.Clone(img) // the replica's arenas alias buf
+	rep, err := RestoreEngineBytes(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +359,27 @@ func TestRestoredEnginePatches(t *testing.T) {
 			t.Fatalf("packet %d: patched replica=%d patched source=%d", i, g, w)
 		}
 	}
-	// The original restored arenas' image must be intact: a fresh
-	// restore of the same bytes still validates (appends above went to
-	// dedicated slack or fresh allocations, never a neighbor section).
-	if _, err := RestoreEngine(bytes.NewReader(img)); err != nil {
-		t.Fatalf("image corrupted by patching a restored engine: %v", err)
+	// The appends above went to fresh allocations or to an arena's own
+	// dedicated slack, never anywhere else in the image the replica
+	// aliases: outside each SoA section's slack, buf is still img.
+	secs, err := image.ReadBytes(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, end := 0, 24+24*len(secs) // header + section table
+	for _, sec := range secs {
+		off := (end + 7) &^ 7 // strict packing: each section starts 8-aligned after its predecessor
+		keep := len(sec.Data)
+		if sec.ID >= secSoALo {
+			keep -= arenaPadLen
+		}
+		if !bytes.Equal(buf[checked:off+keep], img[checked:off+keep]) {
+			t.Fatalf("patching the restored engine wrote outside its arenas' slack (section %d)", sec.ID)
+		}
+		end = off + len(sec.Data)
+		checked = end
+	}
+	if !bytes.Equal(buf[end:], img[end:]) {
+		t.Fatal("patching the restored engine wrote past the last section")
 	}
 }

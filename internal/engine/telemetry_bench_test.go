@@ -59,9 +59,9 @@ func TestTelemetryZeroAllocs(t *testing.T) {
 		t.Errorf("instrumented ClassifyBatchCached: %.2f allocs/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		h.ClassifyCached(trace[0])
+		h.ClassifyBatchCached(trace[:1], out[:1])
 	}); avg != 0 {
-		t.Errorf("instrumented ClassifyCached: %.2f allocs/op, want 0", avg)
+		t.Errorf("instrumented one-packet ClassifyBatchCached: %.2f allocs/op, want 0", avg)
 	}
 	h.EnableCache(8192)
 	h.ClassifyBatchCached(trace, out) // populate

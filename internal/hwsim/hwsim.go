@@ -279,32 +279,48 @@ type Stats struct {
 	TotalEnergyJ float64
 }
 
+// Add accumulates one classified packet.
+func (st *Stats) Add(r Result) {
+	st.Packets++
+	if r.Match >= 0 {
+		st.Matched++
+	}
+	st.MemReads += int64(r.MemReads)
+	if r.LatencyCycles > st.WorstLatency {
+		st.WorstLatency = r.LatencyCycles
+	}
+}
+
+// Finish closes a run of the functional model on dev: the stream costs
+// the reset cycle (root -> register A), the first packet's root cycle,
+// then one cycle per memory read (see Cycles), and the derived figures
+// follow at dev's clock and power.
+func (st *Stats) Finish(dev Device) { st.finish(dev, 2+st.MemReads) }
+
+// finish sets the stream's total cycle count and derives the per-packet,
+// throughput and energy figures from it.
+func (st *Stats) finish(dev Device, cycles int64) {
+	st.Cycles = cycles
+	if st.Packets > 0 {
+		st.AvgCyclesPerPacket = float64(st.Cycles-2) / float64(st.Packets)
+		seconds := float64(st.Cycles) / dev.FreqHz
+		st.PacketsPerSecond = float64(st.Packets) / seconds
+		st.TotalEnergyJ = float64(st.Cycles) * dev.EnergyPerCycleJ()
+		st.EnergyPerPacketJ = st.TotalEnergyJ / float64(st.Packets)
+	}
+}
+
 // Run classifies every packet of trace and returns per-packet matches
 // along with aggregate statistics.
 func (s *Sim) Run(trace []rule.Packet) ([]int, Stats) {
 	matches := make([]int, len(trace))
 	var st Stats
-	st.Cycles = 2 // reset (root -> register A) + first packet's root cycle
 	for i, p := range trace {
 		r := s.ClassifyOne(p)
 		matches[i] = r.Match
-		st.Packets++
-		if r.Match >= 0 {
-			st.Matched++
-		}
-		st.MemReads += int64(r.MemReads)
-		st.Cycles += int64(r.MemReads) // root cycles overlap predecessors
-		if r.LatencyCycles > st.WorstLatency {
-			st.WorstLatency = r.LatencyCycles
-		}
+		st.Add(r)
 	}
-	if st.Packets > 0 {
-		st.AvgCyclesPerPacket = float64(st.Cycles-2) / float64(st.Packets)
-		seconds := float64(st.Cycles) / s.dev.FreqHz
-		st.PacketsPerSecond = float64(st.Packets) / seconds
-		st.TotalEnergyJ = float64(st.Cycles) * s.dev.EnergyPerCycleJ()
-		st.EnergyPerPacketJ = st.TotalEnergyJ / float64(st.Packets)
-	}
+	st.Finish(s.dev)
 	return matches, st
 }
 

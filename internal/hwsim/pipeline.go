@@ -242,26 +242,12 @@ func (s *Sim) RunPipelined(trace []rule.Packet) ([]int, Stats, error) {
 	}
 	matches := make([]int, len(trace))
 	var st Stats
-	st.Cycles = f.cycles
-	st.MemReads = f.memReads
-	st.Packets = int64(len(trace))
 	for i, r := range f.results {
 		matches[i] = r.Match
-		if r.Match >= 0 {
-			st.Matched++
-		}
 		r.AcceptCycle = accepts[i]
-		lat := r.Latency()
-		if lat > st.WorstLatency {
-			st.WorstLatency = lat
-		}
+		st.Add(Result{Match: r.Match, LatencyCycles: r.Latency()})
 	}
-	if st.Packets > 0 {
-		st.AvgCyclesPerPacket = float64(st.Cycles-2) / float64(st.Packets)
-		seconds := float64(st.Cycles) / s.dev.FreqHz
-		st.PacketsPerSecond = float64(st.Packets) / seconds
-		st.TotalEnergyJ = float64(st.Cycles) * s.dev.EnergyPerCycleJ()
-		st.EnergyPerPacketJ = st.TotalEnergyJ / float64(st.Packets)
-	}
+	st.MemReads = f.memReads
+	st.finish(s.dev, f.cycles) // the FSM clocked the fill cycles itself
 	return matches, st, nil
 }

@@ -142,3 +142,49 @@ func TestFSMIdleWithoutStart(t *testing.T) {
 }
 
 var rulePacketZero = classbench.GenerateTrace(nil, 1, 1)[0]
+
+// The default binth leaves the test structures one level deep (root ->
+// leaf). A small binth forces internal-node words below the root, so the
+// traversal loop of ClassifyOne and the FSM's internal-word cycle are
+// exercised too: per-packet latency must still equal the Eq. 5/7 walk
+// and the two models must still agree on every statistic.
+func TestDeepTreeTraversal(t *testing.T) {
+	for _, algo := range []core.Algorithm{core.HiCuts, core.HyperCuts} {
+		rs := classbench.Generate(classbench.FW1(), 400, 141)
+		cfg := core.DefaultConfig(algo)
+		cfg.Binth = 8
+		tr, err := core.Build(rs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := tr.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := New(img, FPGALarge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := classbench.GenerateTrace(rs, 3000, 142)
+		deepest := 0
+		for i, p := range trace {
+			r, pi := sim.ClassifyOne(p), tr.Walk(p)
+			if r.Match != pi.Match || r.LatencyCycles != pi.Cycles() {
+				t.Fatalf("%v packet %d: sim (%d, %d cycles), walk (%d, %d cycles)",
+					algo, i, r.Match, r.LatencyCycles, pi.Match, pi.Cycles())
+			}
+			deepest = max(deepest, pi.Internal)
+		}
+		if deepest < 2 {
+			t.Fatalf("%v: binth 8 still gave a one-level tree; the case tests nothing", algo)
+		}
+		_, funcStats := sim.Run(trace)
+		_, fsmStats, err := sim.RunPipelined(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if funcStats != fsmStats {
+			t.Fatalf("%v: functional %+v, cycle-stepped FSM %+v", algo, funcStats, fsmStats)
+		}
+	}
+}

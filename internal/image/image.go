@@ -161,56 +161,18 @@ func Write(w io.Writer, sections []Section) (int64, error) {
 	return int64(n), err
 }
 
-// readBody reads exactly want bytes from r with geometric buffer growth
-// (first chunk capped), so a corrupt or hostile total-length field can
-// never force an allocation much larger than the bytes r actually
-// delivers: growth doubles, so a short stream fails with at most ~2x
-// the delivered bytes allocated.
-func readBody(r io.Reader, want int64) ([]byte, error) {
-	const firstChunk = 4 << 20
-	buf := make([]byte, 0, min(want, firstChunk))
-	for int64(len(buf)) < want {
-		step := min(want-int64(len(buf)), max(int64(len(buf)), firstChunk))
-		start := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, errf(headerLen+int64(start), 0, "truncated image body: %v", err)
-		}
-	}
-	return buf, nil
-}
-
-// Read decodes an image from r, validating the header, the section
-// table checksum, strict section packing (including zero padding), and
-// every section's CRC32C. On success the returned sections appear in
-// table order and their Data slices alias one contiguous internal
-// buffer, 8-aligned at each section start — callers may therefore alias
-// typed arenas over them without copying (the buffer stays reachable as
-// long as any Data slice is). Any structural defect — truncation at any
+// ReadBytes decodes an image resident in memory — a mapped file, an
+// os.ReadFile result, or an in-process snapshot — validating the
+// header, the section table checksum, strict section packing (including
+// zero padding), and every section's CRC32C, with zero copies and zero
+// allocation proportional to the image. On success the returned
+// sections appear in table order and their Data slices alias b
+// directly, 8-aligned at each section start — callers may therefore
+// alias typed arenas over them without copying. b must be exactly one
+// image (trailing bytes are an error) and must not be mutated while any
+// returned section is in use. Any structural defect — truncation at any
 // byte, a flipped bit anywhere, a version or magic mismatch — returns a
-// *FormatError; Read never panics on malformed input.
-func Read(r io.Reader) ([]Section, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, errf(0, 0, "truncated header: %v", err)
-	}
-	total, err := parseHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	body, err := readBody(r, int64(total)-headerLen)
-	if err != nil {
-		return nil, err
-	}
-	return parse(hdr[:], body)
-}
-
-// ReadBytes decodes an image already resident in memory — a mapped
-// file, os.ReadFile result, or an in-process snapshot — with the same
-// validation as Read but zero copies and zero allocation proportional
-// to the image: the returned sections alias b directly. b must be
-// exactly one image (trailing bytes are a *FormatError) and must not be
-// mutated while any returned section is in use.
+// *FormatError; ReadBytes never panics on malformed input.
 func ReadBytes(b []byte) ([]Section, error) {
 	if len(b) < headerLen {
 		return nil, errf(0, 0, "truncated header: %d bytes", len(b))

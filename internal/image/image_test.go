@@ -3,6 +3,7 @@ package image
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -34,9 +35,9 @@ func TestRoundTrip(t *testing.T) {
 	if img[0] != 'P' || img[1] != 'C' || img[2] != 'E' || img[3] != 'I' {
 		t.Fatalf("image does not start with magic: % x", img[:4])
 	}
-	got, err := Read(bytes.NewReader(img))
+	got, err := ReadBytes(img)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("ReadBytes: %v", err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d sections, want %d", len(got), len(want))
@@ -96,9 +97,9 @@ func TestWriteDeterministic(t *testing.T) {
 
 func TestSectionAlignment(t *testing.T) {
 	img := encode(t, sample())
-	got, err := Read(bytes.NewReader(img))
+	got, err := ReadBytes(img)
 	if err != nil {
-		t.Fatalf("Read: %v", err)
+		t.Fatalf("ReadBytes: %v", err)
 	}
 	for i, s := range got {
 		if len(s.Data) == 0 {
@@ -119,19 +120,22 @@ func TestWriteRejectsBadSectionLists(t *testing.T) {
 	}
 }
 
-// wantFormatError asserts Read fails closed with a *FormatError.
+// wantFormatError asserts ReadBytes fails closed with a *FormatError.
 func wantFormatError(t *testing.T, img []byte, what string) {
 	t.Helper()
-	secs, err := Read(bytes.NewReader(img))
+	secs, err := ReadBytes(img)
 	if err == nil {
-		t.Fatalf("%s: Read succeeded, want *FormatError", what)
+		t.Fatalf("%s: ReadBytes succeeded, want *FormatError", what)
 	}
 	var fe *FormatError
 	if !errors.As(err, &fe) {
 		t.Fatalf("%s: error %T (%v) is not a *FormatError", what, err, err)
 	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "image: ") || !strings.Contains(msg, fe.Msg) {
+		t.Fatalf("%s: error text %q does not carry the image prefix and message", what, msg)
+	}
 	if secs != nil {
-		t.Fatalf("%s: Read returned sections alongside error", what)
+		t.Fatalf("%s: ReadBytes returned sections alongside error", what)
 	}
 }
 
@@ -158,7 +162,7 @@ func TestReadFailsClosed(t *testing.T) {
 		// Every proper prefix must fail: there is no length at which a
 		// truncated image still parses.
 		for n := 0; n < len(img); n++ {
-			secs, err := Read(bytes.NewReader(img[:n]))
+			secs, err := ReadBytes(img[:n])
 			var fe *FormatError
 			if err == nil || !errors.As(err, &fe) || secs != nil {
 				t.Fatalf("truncation at %d/%d bytes: err=%v", n, len(img), err)
@@ -172,7 +176,7 @@ func TestReadFailsClosed(t *testing.T) {
 		for off := 0; off < len(img); off++ {
 			bad := bytes.Clone(img)
 			bad[off] ^= 1 << (off % 8)
-			secs, err := Read(bytes.NewReader(bad))
+			secs, err := ReadBytes(bad)
 			if err == nil {
 				// The only acceptable escape is a flip that leaves the
 				// image semantically identical — impossible here since
@@ -186,8 +190,8 @@ func TestReadFailsClosed(t *testing.T) {
 		}
 	})
 	t.Run("huge-total-length", func(t *testing.T) {
-		// A lying total-length field must fail with a truncation error,
-		// not an enormous allocation (readBody grows geometrically).
+		// A lying total-length field must fail closed against the
+		// buffer's real length.
 		bad := bytes.Clone(img)
 		bad[14] = 0x7F // total length |= 0x7F000000000000
 		wantFormatError(t, bad, "hostile total length")

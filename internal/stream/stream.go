@@ -145,13 +145,22 @@ func (t *textSource) ReadBatch(pkts []rule.Packet) (int, error) {
 
 // Detect sniffs r (buffered) and returns the matching batch source:
 // native wire framing, a pcap capture, or the text shim. It consumes
-// nothing — detection is a Peek.
+// nothing — detection is a Peek. The decoders come from the pools below;
+// Run returns them there, a one-shot caller just drops them.
 func Detect(br *bufio.Reader) (src wire.BatchReader, binary bool) {
 	head, _ := br.Peek(4)
 	switch {
 	case wire.IsMagic(head):
+		if rd, _ := wireRdPool.Get().(*wire.Reader); rd != nil {
+			rd.Reset(br)
+			return rd, true
+		}
 		return wire.NewReader(br), true
 	case wire.IsPcapMagic(head):
+		if rd, _ := pcapRdPool.Get().(*wire.PcapReader); rd != nil {
+			rd.Reset(br)
+			return rd, true
+		}
 		return wire.NewPcapReader(br), true
 	default:
 		return newTextSource(br), false
@@ -205,52 +214,22 @@ func Run(h *engine.Handle, r io.Reader, w io.Writer) (Stats, error) {
 		br.Reset(r)
 		pooledBR = true
 	}
-	// Detection mirrors Detect but draws the decoder from a pool; Detect
-	// itself stays allocation-simple for one-shot callers.
-	head, _ := br.Peek(4)
-	var (
-		src      wire.BatchReader
-		isBinary bool
-		wrd      *wire.Reader
-		prd      *wire.PcapReader
-		txt      *textSource
-	)
-	switch {
-	case wire.IsMagic(head):
-		wrd, _ = wireRdPool.Get().(*wire.Reader)
-		if wrd == nil {
-			wrd = wire.NewReader(br)
-		} else {
-			wrd.Reset(br)
-		}
-		src, isBinary = wrd, true
-	case wire.IsPcapMagic(head):
-		prd, _ = pcapRdPool.Get().(*wire.PcapReader)
-		if prd == nil {
-			prd = wire.NewPcapReader(br)
-		} else {
-			prd.Reset(br)
-		}
-		src, isBinary = prd, true
-	default:
-		txt = newTextSource(br)
-		src = txt
-	}
+	src, isBinary := Detect(br)
 	st, safe, err := run(h, src, w)
 	st.Binary = isBinary
 	if safe {
-		switch {
-		case wrd != nil:
-			wrd.Reset(nil)
-			wireRdPool.Put(wrd)
-		case prd != nil:
+		switch src := src.(type) {
+		case *wire.Reader:
+			src.Reset(nil)
+			wireRdPool.Put(src)
+		case *wire.PcapReader:
 			// Capture before Reset zeroes it; safe==true proves the
 			// reader stage exited, so this read cannot race.
-			st.Skipped = prd.Skipped
-			prd.Reset(nil)
-			pcapRdPool.Put(prd)
-		case txt != nil:
-			buf := txt.buf
+			st.Skipped = src.Skipped
+			src.Reset(nil)
+			pcapRdPool.Put(src)
+		case *textSource:
+			buf := src.buf
 			scanBufPool.Put(&buf)
 		}
 		if pooledBR {

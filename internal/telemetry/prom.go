@@ -36,7 +36,6 @@ func (r *Recorder) families() []family {
 	return []family{
 		{"repro_packets_total", "counter", "Packets classified through the engine handle (batch paths).", &r.Packets},
 		{"repro_classify_batches_total", "counter", "Classification batch dispatches through the engine handle.", &r.Batches},
-		{"repro_classify_singles_total", "counter", "Single-packet cached classify calls.", &r.Singles},
 		{"repro_epoch_publishes_total", "counter", "Snapshot epoch publishes (delta patches plus recompile swaps).", &r.Epochs},
 		{"repro_deltas_applied_total", "counter", "Control-plane tree deltas replayed onto the engine.", &r.Deltas},
 		{"repro_patch_failures_total", "counter", "Delta patches that failed and fell back to a full recompile.", &r.PatchFails},

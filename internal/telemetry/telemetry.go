@@ -46,10 +46,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current count.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// Next increments the counter and returns the new value — the
-// building block of cheap 1-in-N sampling decisions.
-func (c *Counter) Next() uint64 { return c.v.Add(1) }
-
 // Gauge is an atomically readable/settable int64 level. The zero value
 // is ready to use.
 type Gauge struct{ v atomic.Int64 }
@@ -238,7 +234,6 @@ type Recorder struct {
 	// Data plane.
 	Packets  Counter // packets classified through the engine handle
 	Batches  Counter // classification batch dispatches
-	Singles  Counter // single-packet ClassifyCached calls
 	CacheInv Counter // cache-invalidation waves (epoch bumps with a cache attached)
 
 	// Control plane.

@@ -124,9 +124,6 @@ func TestCounterAndGauge(t *testing.T) {
 	if c.Load() != 42 {
 		t.Errorf("counter = %d, want 42", c.Load())
 	}
-	if n := c.Next(); n != 43 {
-		t.Errorf("Next = %d, want 43", n)
-	}
 	var g Gauge
 	g.Set(-7)
 	if g.Load() != -7 {

@@ -21,8 +21,13 @@
 //     (NewSoftwareBaseline);
 //   - regenerate every evaluation table (WriteAllTables).
 //
-// See examples/ for runnable walkthroughs and DESIGN.md for the system
-// inventory.
+// An Accelerator keeps the paper's §4 machines apart. The data plane
+// (ClassifyBatch, ClassifyStream, SoftwareEngine, SaveImage, telemetry)
+// reads lock-free epoch snapshots and never waits for anything. The
+// control plane (updates, recompiles, the tree getters) serializes on one
+// mutex around the off-chip tree copy. The device model
+// (repro_device.go) is what the control plane pushes dirty words into and
+// what Classify and Run answer from. See examples/ and DESIGN.md §6.
 package repro
 
 import (
@@ -121,11 +126,6 @@ type Config struct {
 	CompactLeaves bool
 	// Target picks the simulated device (default ASIC).
 	Target Target
-	// RecompileThreshold is the Degradation/garbage level at which an
-	// incremental update triggers a background full rebuild of the
-	// flat image (0 selects DefaultRecompileThreshold; negative
-	// disables auto-recompiles).
-	RecompileThreshold float64
 	// CacheSize, when positive, puts a sharded exact-match flow cache
 	// of (at least) that many entries in front of the software
 	// classification paths (Classify, ClassifyBatch, ClassifyStream):
@@ -170,70 +170,47 @@ const DefaultRecompileThreshold = 0.25
 
 // Accelerator is a built search structure loaded into the simulated
 // hardware classifier, together with the live-updatable software engine.
-//
-// All methods are safe for concurrent use. The update path models the
-// paper's §4 control plane: Insert and Delete patch the off-chip tree
-// copy, replay the structured delta onto the flat software image
-// (engine.Patch — no recompile), and queue the delta for a lazy
-// word-level rewrite of the simulated device memory (only the words the
-// update dirtied go through the one-word-per-cycle write interface; see
-// DeviceWriteCycles). Software classification (SoftwareEngine,
-// ClassifyStream) reads lock-free epoch snapshots and keeps running at
-// full rate during updates; when Degradation or the engine's
-// GarbageRatio crosses Config.RecompileThreshold, a background rebuild
-// compacts the structure and swaps it in as the next epoch.
+// All methods are safe for concurrent use, by three owners (paper §4):
+// the data plane classifies on lock-free epoch snapshots and never takes
+// mu; the control plane patches the tree, replays each delta onto the
+// engine as the next epoch, and recompacts in the background once
+// degradation or arena garbage passes DefaultRecompileThreshold; the
+// device model receives the dirty words lazily (see DeviceWriteCycles).
 type Accelerator struct {
-	mu   sync.Mutex // guards tree, sim, simPending, simFull, simErr
-	tree *core.Tree
-	sim  *hwsim.Sim
-	dev  hwsim.Device
-	// simPending queues update deltas awaiting lazy replay into the
-	// device memory word-by-word (hwsim.Sim.ApplyDelta — the paper's §4
-	// write path: only the words an update dirtied are rewritten).
-	simPending []*core.Delta
-	// simFull forces the next device rewrite to be a full re-encode:
-	// set by recompiles (deltas do not survive a Relayout) and by any
-	// failed word-level patch.
-	simFull bool
-	simErr  error // last failed device rewrite (structure outgrew device)
-	// simPriorWrites accumulates the write cycles of device images that
-	// were since replaced by full re-encodes, so DeviceWriteCycles
-	// stays cumulative across recompiles.
-	simPriorWrites int64
+	// Data plane: lock-free, never waits for a tree. tel is the always-on
+	// telemetry plane every layer emits into; telSrv its optional HTTP
+	// exposition (Config.TelemetryAddr).
+	handle *engine.Handle
+	tel    *telemetry.Recorder
+	telSrv *telemetry.Server
 
-	handle    *engine.Handle
-	threshold float64
-	patchErr  error // last engine.Patch failure (sticky; see PatchError)
-
+	// Control plane: mu guards everything from here to closed (dev.hw is
+	// immutable). tree is nil on a restored accelerator
+	// (Config.RestorePath) until the background rebuild installs it —
+	// treeReady is closed then — or for good if that rebuild failed with
+	// treeErr.
+	mu        sync.Mutex
+	tree      *core.Tree
+	treeReady chan struct{}
+	treeErr   error
+	dev       device  // the device model; see repro_device.go
+	patchErr  error   // last engine.Patch failure (sticky; see PatchError)
+	threshold float64 // recompile trigger level; negative disables it
 	// degFloor is the degradation measured right after the last
 	// recompile: the part Relayout+Compile cannot reclaim (leaves grown
 	// past Binth need a re-cut, i.e. a fresh BuildAccelerator). The
 	// auto-trigger fires on drift above this floor, not the absolute
 	// level, so irreducible overgrowth cannot cause recompile-per-update.
 	degFloor float64
-
-	maint       sync.WaitGroup // in-flight background recompiles
-	recompiling atomic.Bool
-
-	// treeReady is closed once the control-plane tree is installed — or
-	// its background rebuild failed, see treeErr (both under mu). It is
-	// nil except on a restored accelerator (Config.RestorePath), where
-	// waitTree gates every path that needs the tree.
-	treeReady chan struct{}
-	treeErr   error
-
-	// closed (under mu) stops new background maintenance once Close has
-	// begun; closeOnce/closeErr make Close idempotent and safe to race
-	// with itself.
+	// closed stops new background maintenance once Close has begun;
+	// closeOnce/closeErr make Close idempotent and safe to race with
+	// itself.
 	closed    bool
 	closeOnce sync.Once
 	closeErr  error
 
-	// tel is the always-on telemetry plane: every classification and
-	// control-plane layer emits into it, and Telemetry() snapshots it.
-	// telSrv is the optional HTTP exposition (Config.TelemetryAddr).
-	tel    *telemetry.Recorder
-	telSrv *telemetry.Server
+	maint       sync.WaitGroup // in-flight background recompiles and rebuilds
+	recompiling atomic.Bool
 }
 
 // coreConfig maps the facade Config onto the tree builder's knobs.
@@ -259,36 +236,44 @@ func (cfg Config) device() hwsim.Device {
 	return hwsim.ASIC
 }
 
-func (cfg Config) recompileThreshold() float64 {
-	if cfg.RecompileThreshold == 0 {
-		return DefaultRecompileThreshold
+// newAccelerator wires a published engine and a device model into an
+// accelerator with the flow cache and the always-on telemetry plane (and
+// its optional HTTP exposition) attached. The once-per-process
+// scan-kernel fallback (an unsatisfiable REPRO_SCAN_KERNEL override that
+// silently degraded to the probed default) becomes countable here: one
+// counter tick and one flight-recorder event per accelerator, so
+// dashboards see the degrade even though classification continued.
+func newAccelerator(h *engine.Handle, sim *hwsim.Sim, cfg Config) (*Accelerator, error) {
+	a := &Accelerator{handle: h, tel: telemetry.New(), threshold: DefaultRecompileThreshold}
+	a.dev = device{hw: cfg.device(), sim: sim, onWrite: func(cycles, fullLoad int64) {
+		a.tel.Events.Record(telemetry.EvDeviceWrite, h.Current().Epoch(), cycles, fullLoad, 0)
+	}}
+	if cfg.CacheSize > 0 {
+		h.EnableCache(cfg.CacheSize)
 	}
-	return cfg.RecompileThreshold
-}
-
-// initTelemetry wires the always-on telemetry plane (and the optional
-// HTTP exposition) into a freshly constructed accelerator. The
-// once-per-process scan-kernel fallback (an unsatisfiable
-// REPRO_SCAN_KERNEL override that silently degraded to the probed
-// default) becomes countable here: one counter tick and one
-// flight-recorder event per accelerator, so dashboards see the degrade
-// even though classification continued.
-func (a *Accelerator) initTelemetry(addr string) error {
-	a.tel = telemetry.New()
-	a.handle.SetTelemetry(a.tel)
+	h.SetTelemetry(a.tel)
 	if msg := engine.KernelFallback(); msg != "" {
 		a.tel.KernelFallbacks.Inc()
 		a.tel.Events.Record(telemetry.EvKernelFallback, 0, 0, 0, 0)
 	}
 	a.tel.RegisterCollector(a.collectScrape)
-	if addr != "" {
-		srv, err := telemetry.Serve(addr, a.tel)
+	if cfg.TelemetryAddr != "" {
+		srv, err := telemetry.Serve(cfg.TelemetryAddr, a.tel)
 		if err != nil {
-			return fmt.Errorf("repro: telemetry listener: %w", err)
+			return nil, fmt.Errorf("repro: telemetry listener: %w", err)
 		}
 		a.telSrv = srv
 	}
-	return nil
+	return a, nil
+}
+
+// installTree makes t the control-plane tree and records its build; the
+// caller holds mu (a scrape may already be reading).
+func (a *Accelerator) installTree(t *core.Tree) {
+	a.tree = t
+	a.tel.BuildNs.Observe(t.BuildNanos())
+	a.tel.Events.Record(telemetry.EvBuild, a.handle.Current().Epoch(),
+		t.BuildNanos(), int64(t.NumRules()), int64(t.Words()))
 }
 
 // BuildAccelerator constructs the modified decision tree for rs, encodes
@@ -308,27 +293,17 @@ func BuildAccelerator(rs RuleSet, cfg Config) (*Accelerator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repro: structure built (%d words) but not encodable: %w", tree.Words(), err)
 	}
-	dev := cfg.device()
-	sim, err := hwsim.New(img, dev)
+	sim, err := hwsim.New(img, cfg.device())
 	if err != nil {
 		return nil, err
 	}
-	a := &Accelerator{
-		tree:      tree,
-		sim:       sim,
-		dev:       dev,
-		handle:    engine.NewHandle(engine.Compile(tree)),
-		threshold: cfg.recompileThreshold(),
-	}
-	if cfg.CacheSize > 0 {
-		a.handle.EnableCache(cfg.CacheSize)
-	}
-	if err := a.initTelemetry(cfg.TelemetryAddr); err != nil {
+	a, err := newAccelerator(engine.NewHandle(engine.Compile(tree)), sim, cfg)
+	if err != nil {
 		return nil, err
 	}
-	a.tel.BuildNs.Observe(tree.BuildNanos())
-	a.tel.Events.Record(telemetry.EvBuild, 0,
-		tree.BuildNanos(), int64(len(rs)), int64(tree.Words()))
+	a.mu.Lock()
+	a.installTree(tree)
+	a.mu.Unlock()
 	return a, nil
 }
 
@@ -341,8 +316,8 @@ func BuildAccelerator(rs RuleSet, cfg Config) (*Accelerator, error) {
 // churn the layouts differ, and the compiled engine is swapped in as the
 // next epoch so subsequent delta patches address the layout they are
 // derived from. Readers never stall either way. The simulated device
-// memory is re-derived lazily on first hardware-path use, exactly as
-// after a recompile.
+// memory is loaded lazily on first hardware-path use, exactly as after a
+// recompile.
 func restoreAccelerator(rs RuleSet, cfg Config, ccfg core.Config) (*Accelerator, error) {
 	data, err := os.ReadFile(cfg.RestorePath)
 	if err != nil {
@@ -352,19 +327,11 @@ func restoreAccelerator(rs RuleSet, cfg Config, ccfg core.Config) (*Accelerator,
 	if err != nil {
 		return nil, fmt.Errorf("repro: restore image %s: %w", cfg.RestorePath, err)
 	}
-	a := &Accelerator{
-		dev:       cfg.device(),
-		handle:    h,
-		threshold: cfg.recompileThreshold(),
-		simFull:   true, // full re-encode on first hardware-path use
-		treeReady: make(chan struct{}),
-	}
-	if cfg.CacheSize > 0 {
-		a.handle.EnableCache(cfg.CacheSize)
-	}
-	if err := a.initTelemetry(cfg.TelemetryAddr); err != nil {
+	a, err := newAccelerator(h, nil, cfg)
+	if err != nil {
 		return nil, err
 	}
+	a.treeReady = make(chan struct{})
 	a.maint.Add(1)
 	go func() {
 		defer a.maint.Done()
@@ -376,29 +343,46 @@ func restoreAccelerator(rs RuleSet, cfg Config, ccfg core.Config) (*Accelerator,
 			a.treeErr = fmt.Errorf("repro: control-plane rebuild after restore: %w", err)
 			return
 		}
-		restored := a.handle.Current().Engine()
-		if compiled := engine.Compile(tree); !restored.LayoutEqual(compiled) {
-			a.handle.Swap(compiled)
+		if compiled := engine.Compile(tree); !h.Current().Engine().LayoutEqual(compiled) {
+			h.Swap(compiled)
 		}
-		a.tree = tree
-		a.tel.BuildNs.Observe(tree.BuildNanos())
-		a.tel.Events.Record(telemetry.EvBuild, a.handle.Current().Epoch(),
-			tree.BuildNanos(), int64(len(rs)), int64(tree.Words()))
+		a.installTree(tree)
 	}()
 	return a, nil
 }
 
-// waitTree blocks until the control-plane tree is available: instant
-// except on a restored accelerator whose background rebuild is still
-// running. It returns the rebuild's error if that failed — the tree-path
-// methods then degrade to the restored engine where they can.
-func (a *Accelerator) waitTree() error {
-	if a.treeReady != nil {
+// lockTree is the one way into the control plane: it takes mu and returns
+// the tree, or nil and the reason there is none — a restore's background
+// rebuild failed (treeErr) or, when wait is false, is still running (nil
+// error). The caller unlocks mu.
+func (a *Accelerator) lockTree(wait bool) (*core.Tree, error) {
+	if wait && a.treeReady != nil {
 		<-a.treeReady
 	}
 	a.mu.Lock()
+	return a.tree, a.treeErr
+}
+
+// onTree runs f on the control-plane tree under mu, or not at all when
+// there is no tree (see lockTree).
+func (a *Accelerator) onTree(wait bool, f func(*core.Tree)) {
+	t, _ := a.lockTree(wait)
 	defer a.mu.Unlock()
-	return a.treeErr
+	if t != nil {
+		f(t)
+	}
+}
+
+// hardware enters the control plane for a hardware-model method: the tree
+// is waited for, mu is held on return, and the device memory is brought
+// up to date with every applied update. The error is the device's load
+// error, or the rebuild's when there is no tree to load.
+func (a *Accelerator) hardware() (*core.Tree, error) {
+	t, err := a.lockTree(true)
+	if t != nil {
+		err = a.dev.sync(t)
+	}
+	return t, err
 }
 
 // SaveImage serializes the current epoch's engine — the flat arenas, the
@@ -429,21 +413,27 @@ func (a *Accelerator) collectScrape(emit func(name string, value float64)) {
 	}
 	// A scrape must never block on the restore-path tree rebuild: skip
 	// the tree samples until the tree exists.
-	a.mu.Lock()
-	var deg float64
-	var orphans, words int
-	if a.tree != nil {
-		deg = a.tree.Degradation()
-		orphans = a.tree.Orphans()
-		words = a.tree.Words()
+	if h := a.treeHealth(); h.ok {
+		emit("repro_tree_degradation", h.degradation)
+		emit("repro_tree_orphan_leaves", float64(h.orphans))
+		emit("repro_tree_words", float64(h.words))
 	}
-	hasTree := a.tree != nil
-	a.mu.Unlock()
-	if hasTree {
-		emit("repro_tree_degradation", deg)
-		emit("repro_tree_orphan_leaves", float64(orphans))
-		emit("repro_tree_words", float64(words))
-	}
+}
+
+// treeHealth is the tree's structural gauges as Telemetry and a scrape
+// report them; ok is false while there is no tree. It never waits for a
+// restore's rebuild.
+type treeHealth struct {
+	degradation    float64
+	orphans, words int
+	ok             bool
+}
+
+func (a *Accelerator) treeHealth() (h treeHealth) {
+	a.onTree(false, func(t *core.Tree) {
+		h = treeHealth{t.Degradation(), t.Orphans(), t.Words(), true}
+	})
+	return h
 }
 
 // Classify returns the highest-priority matching rule ID for p, or -1,
@@ -462,29 +452,22 @@ func (a *Accelerator) Classify(p Packet) int {
 			return int(rid)
 		}
 	}
-	m, epoch := a.classifyLocked(p)
+	r, epoch := a.classifyHardware(p)
 	if c != nil {
-		c.Insert(p, epoch, int32(m))
+		c.Insert(p, epoch, int32(r.Match))
 	}
-	return m
+	return r.Match
 }
 
-// classifyLocked runs the hardware-model walk under the accelerator
-// lock, returning the match and the epoch it is valid for. Under mu the
-// tree cannot change, so the current epoch is exactly the state this
-// answer is computed from — safe to stamp a cache entry with.
-func (a *Accelerator) classifyLocked(p Packet) (int, uint64) {
-	a.waitTree()
-	a.mu.Lock()
+// classifyHardware answers one packet from the device model under mu,
+// with the epoch the answer is valid for: under mu the tree cannot
+// change, so the current epoch is exactly the state the answer is
+// computed from — safe to stamp a cache entry with.
+func (a *Accelerator) classifyHardware(p Packet) (hwsim.Result, uint64) {
+	t, _ := a.hardware()
 	defer a.mu.Unlock()
-	epoch := a.handle.Current().Epoch()
-	if a.tree == nil { // restore's background rebuild failed
-		return a.handle.Current().Engine().Classify(p), epoch
-	}
-	if a.ensureSimLocked() != nil {
-		return a.tree.Classify(p), epoch
-	}
-	return a.sim.ClassifyOne(p).Match, epoch
+	s := a.handle.Current()
+	return a.dev.classify(t, s.Engine(), p), s.Epoch()
 }
 
 // ClassifyBatch classifies pkts[i] into out[i] on the software fast path
@@ -514,17 +497,7 @@ type CacheStats = flowcache.Stats
 // cycles and memory reads. When the device image is unloadable (see
 // LoadError) the analytical Eq. 5/7 walk supplies the cycle counts.
 func (a *Accelerator) ClassifyDetailed(p Packet) (match, latencyCycles, memReads int) {
-	a.waitTree()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tree == nil {
-		return a.handle.Current().Engine().Classify(p), 0, 0
-	}
-	if a.ensureSimLocked() != nil {
-		pi := a.tree.Walk(p)
-		return pi.Match, pi.Cycles(), pi.Cycles() - 1
-	}
-	r := a.sim.ClassifyOne(p)
+	r, _ := a.classifyHardware(p)
 	return r.Match, r.LatencyCycles, r.MemReads
 }
 
@@ -537,109 +510,42 @@ type Stats = hwsim.Stats
 // for software classification concurrent with updates. When the device
 // image is unloadable (see LoadError) the matches come from the logical
 // tree and the statistics from the analytical Eq. 5/7 walk — the same
-// quantities the simulator is property-tested against.
+// quantities the simulator is tested against.
 func (a *Accelerator) Run(trace []Packet) ([]int, Stats) {
-	a.waitTree()
-	a.mu.Lock()
+	t, _ := a.hardware()
 	defer a.mu.Unlock()
-	if a.tree == nil {
-		// Restore's background rebuild failed: matches still come from
-		// the restored engine; cycle/energy figures need the tree.
-		e := a.handle.Current().Engine()
-		matches := make([]int, len(trace))
-		var st Stats
-		for i, p := range trace {
-			matches[i] = e.Classify(p)
-			st.Packets++
-			if matches[i] >= 0 {
-				st.Matched++
-			}
-		}
-		return matches, st
-	}
-	if a.ensureSimLocked() != nil {
-		return a.runAnalyticLocked(trace)
-	}
-	return a.sim.Run(trace)
-}
-
-// runAnalyticLocked mirrors hwsim.Sim.Run's aggregation using
-// core.Tree.Walk cycle counts instead of simulated word reads.
-func (a *Accelerator) runAnalyticLocked(trace []Packet) ([]int, Stats) {
-	matches := make([]int, len(trace))
-	var st Stats
-	st.Cycles = 2 // reset + first packet's root cycle, as in hwsim.Run
-	for i, p := range trace {
-		pi := a.tree.Walk(p)
-		matches[i] = pi.Match
-		st.Packets++
-		if pi.Match >= 0 {
-			st.Matched++
-		}
-		reads := pi.Cycles() - 1 // root cycle overlaps the predecessor
-		st.MemReads += int64(reads)
-		st.Cycles += int64(reads)
-		if pi.Cycles() > st.WorstLatency {
-			st.WorstLatency = pi.Cycles()
-		}
-	}
-	if st.Packets > 0 {
-		st.AvgCyclesPerPacket = float64(st.Cycles-2) / float64(st.Packets)
-		seconds := float64(st.Cycles) / a.dev.FreqHz
-		st.PacketsPerSecond = float64(st.Packets) / seconds
-		st.TotalEnergyJ = float64(st.Cycles) * a.dev.EnergyPerCycleJ()
-		st.EnergyPerPacketJ = st.TotalEnergyJ / float64(st.Packets)
-	}
-	return matches, st
+	return a.dev.run(t, a.handle.Current().Engine(), trace)
 }
 
 // MemoryBytes is the search-structure size (words x 600 bytes).
-func (a *Accelerator) MemoryBytes() int {
-	a.waitTree()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tree == nil {
-		return 0
-	}
-	return a.tree.MemoryBytes()
+func (a *Accelerator) MemoryBytes() (n int) {
+	a.onTree(true, func(t *core.Tree) { n = t.MemoryBytes() })
+	return n
 }
 
 // Words is the number of 4800-bit memory words used (device holds 1024).
-func (a *Accelerator) Words() int {
-	a.waitTree()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tree == nil {
-		return 0
-	}
-	return a.tree.Words()
+func (a *Accelerator) Words() (n int) {
+	a.onTree(true, func(t *core.Tree) { n = t.Words() })
+	return n
 }
 
 // WorstCaseCycles is the guaranteed per-packet bound (Tables 4 and 8).
-func (a *Accelerator) WorstCaseCycles() int {
-	a.waitTree()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tree == nil {
-		return 0
-	}
-	return a.tree.WorstCaseCycles()
+func (a *Accelerator) WorstCaseCycles() (n int) {
+	a.onTree(true, func(t *core.Tree) { n = t.WorstCaseCycles() })
+	return n
 }
 
 // GuaranteedPPS is the worst-case sustained throughput: the pipeline
 // overlap hides one cycle (paper §4).
-func (a *Accelerator) GuaranteedPPS() float64 {
-	a.waitTree()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tree == nil {
-		return 0
-	}
-	return hwsim.WorstCaseThroughputPPS(a.dev, a.tree.WorstCaseCycles())
+func (a *Accelerator) GuaranteedPPS() (pps float64) {
+	a.onTree(true, func(t *core.Tree) {
+		pps = hwsim.WorstCaseThroughputPPS(a.dev.hw, t.WorstCaseCycles())
+	})
+	return pps
 }
 
 // DeviceName names the simulated implementation target.
-func (a *Accelerator) DeviceName() string { return a.dev.Name }
+func (a *Accelerator) DeviceName() string { return a.dev.hw.Name }
 
 // Insert adds a rule at the lowest priority (ID must equal the current
 // rule count), modelling the paper's §4 control-plane update path: the
@@ -649,32 +555,10 @@ func (a *Accelerator) DeviceName() string { return a.dev.Name }
 // simulated device memory is patched lazily on its next use — word by
 // word through the write interface, charging only the dirty words. Safe
 // for concurrent use; updates serialize against each other.
-func (a *Accelerator) Insert(r Rule) error {
-	if err := a.waitTree(); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	d, err := a.tree.InsertDelta(r)
-	if err != nil {
-		return err
-	}
-	return a.applyLocked(d)
-}
+func (a *Accelerator) Insert(r Rule) error { return a.InsertBatch([]Rule{r}) }
 
 // Delete removes a rule by ID; see Insert for the update path.
-func (a *Accelerator) Delete(id int) error {
-	if err := a.waitTree(); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	d, err := a.tree.DeleteDelta(id)
-	if err != nil {
-		return err
-	}
-	return a.applyLocked(d)
-}
+func (a *Accelerator) Delete(id int) error { return a.DeleteBatch([]int{id}) }
 
 // InsertBatch adds a burst of rules (IDs must consecutively extend the
 // current rule count) and publishes them as one epoch: the deltas are
@@ -685,64 +569,61 @@ func (a *Accelerator) Delete(id int) error {
 // error the already-absorbed prefix is still published (exactly, never
 // lost) and the error reports the failing rule.
 func (a *Accelerator) InsertBatch(rules []Rule) error {
-	if err := a.waitTree(); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ds := make([]*core.Delta, 0, len(rules))
-	for i := range rules {
-		d, err := a.tree.InsertDelta(rules[i])
-		if err != nil {
-			if applyErr := a.applyBatchLocked(ds); applyErr != nil {
-				return applyErr
-			}
-			return fmt.Errorf("repro: batch insert %d: %w", i, err)
-		}
-		ds = append(ds, d)
-	}
-	return a.applyBatchLocked(ds)
+	return a.update("insert", len(rules), func(t *core.Tree, i int) (*core.Delta, error) {
+		return t.InsertDelta(rules[i])
+	})
 }
 
 // DeleteBatch removes a burst of rules by ID as one epoch; see
 // InsertBatch for the coalescing semantics.
 func (a *Accelerator) DeleteBatch(ids []int) error {
-	if err := a.waitTree(); err != nil {
+	return a.update("delete", len(ids), func(t *core.Tree, i int) (*core.Delta, error) {
+		return t.DeleteDelta(ids[i])
+	})
+}
+
+// update is the one body of the four update methods (Insert and Delete
+// are a burst of one): the tree absorbs the burst change by change —
+// step(t, i) applies the i-th — and the deltas it absorbed are replayed
+// onto the engine snapshot chain as one epoch, queued for the device, and
+// weighed against the recompile trigger. The tree has already changed by
+// the time the engine is patched, so a patch failure must not leave the
+// published engine diverged from it: the fallback is an inline full
+// recompile, which resynchronizes unconditionally. The updates
+// themselves therefore still succeed, but the failure is recorded — it
+// means updates are paying recompile cost, the exact degradation this
+// pipeline exists to avoid — and PatchError surfaces it.
+func (a *Accelerator) update(op string, n int, step func(t *core.Tree, i int) (*core.Delta, error)) error {
+	t, err := a.lockTree(true)
+	defer a.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	ds := make([]*core.Delta, 0, len(ids))
-	for i, id := range ids {
-		d, err := a.tree.DeleteDelta(id)
-		if err != nil {
-			if applyErr := a.applyBatchLocked(ds); applyErr != nil {
-				return applyErr
+	ds := make([]*core.Delta, 0, n)
+	for i := 0; i < n; i++ {
+		var d *core.Delta
+		if d, err = step(t, i); err != nil {
+			if n > 1 {
+				err = fmt.Errorf("repro: batch %s %d: %w", op, i, err)
 			}
-			return fmt.Errorf("repro: batch delete %d (rule %d): %w", i, id, err)
+			break
 		}
 		ds = append(ds, d)
 	}
-	return a.applyBatchLocked(ds)
+	a.publishLocked(t, ds) // a mid-burst error still publishes the absorbed prefix
+	return err
 }
 
-// applyBatchLocked replays a burst of tree deltas onto the engine
-// snapshot chain as one epoch, marks the device image stale, and kicks a
-// background recompile when the structure has degraded past the
-// threshold. The tree has already absorbed the updates by the time this
-// runs, so a patch failure must not leave the published engine diverged
-// from it: the fallback is an inline full recompile, which
-// resynchronizes unconditionally. The updates themselves therefore still
-// succeed, but the failure is recorded — it means updates are paying
-// recompile cost, the exact degradation this pipeline exists to avoid —
-// and PatchError surfaces it.
-func (a *Accelerator) applyBatchLocked(ds []*core.Delta) error {
+// publishLocked is update's second half: the deltas the tree absorbed
+// become the next epoch, reach the device queue, and may trip a recompile.
+func (a *Accelerator) publishLocked(t *core.Tree, ds []*core.Delta) {
 	if len(ds) == 0 {
-		return nil
+		return
 	}
 	// Flight-record the tree-side absorption (the patch/publish that
 	// follows records its own events in the handle), and refresh the
-	// degradation gauge the updates just moved.
+	// degradation gauge the updates just moved. Degradation is O(leaves):
+	// taken once, it serves the gauge, the trigger and the trip event.
 	var dirty, edits int
 	for _, d := range ds {
 		dirty += d.DirtyWordCount()
@@ -750,25 +631,36 @@ func (a *Accelerator) applyBatchLocked(ds []*core.Delta) error {
 	}
 	a.tel.Events.Record(telemetry.EvDeltaApply, a.handle.Current().Epoch(),
 		int64(dirty), int64(len(ds)), int64(edits))
-	a.tel.DegradationPPM.Set(int64(a.tree.Degradation() * 1e6))
-	if _, err := a.handle.ApplyBatch(ds); err != nil {
+	deg := t.Degradation()
+	a.tel.DegradationPPM.Set(int64(deg * 1e6))
+	s, err := a.handle.ApplyBatch(ds)
+	if err != nil {
 		a.patchErr = fmt.Errorf("repro: batch delta patch failed (updates applied via full recompile): %w", err)
-		a.recompileLocked()
-		return nil
+		a.recompileLocked(t)
+		return
 	}
-	if !a.simFull {
-		// Queue for the word-level device rewrite; dropped if anything
-		// forces a full re-encode first.
-		a.simPending = append(a.simPending, ds...)
+	a.dev.queue(ds)
+	// One background rebuild starts when the engine arenas have
+	// accumulated too much patch garbage, or the tree has degraded a
+	// further threshold's worth beyond what the last recompile could
+	// reclaim (degFloor — overgrown leaves survive Relayout; only a fresh
+	// BuildAccelerator re-cuts them).
+	garbage := s.Engine().GarbageRatio()
+	if a.threshold < 0 || a.closed || deg < a.degFloor+a.threshold && garbage < a.threshold {
+		return
 	}
-	a.maybeRecompileLocked()
-	return nil
-}
-
-// applyLocked replays one tree delta onto the engine snapshot chain; it
-// is applyBatchLocked for a single-delta burst.
-func (a *Accelerator) applyLocked(d *core.Delta) error {
-	return a.applyBatchLocked([]*core.Delta{d})
+	if !a.recompiling.CompareAndSwap(false, true) {
+		return // one rebuild in flight is enough
+	}
+	a.tel.DegradTrips.Inc()
+	a.tel.Events.Record(telemetry.EvDegradationTrip, s.Epoch(),
+		int64(deg*1e6), int64(garbage*1e6), int64((a.degFloor+a.threshold)*1e6))
+	a.maint.Add(1)
+	go func() {
+		defer a.maint.Done()
+		defer a.recompiling.Store(false)
+		a.Recompile()
+	}()
 }
 
 // PatchError reports the most recent failure of the incremental patch
@@ -787,16 +679,11 @@ func (a *Accelerator) PatchError() error {
 // Degradation reports how far incremental updates have pushed the
 // structure from its built quality (the fraction of leaf-table entries
 // overgrown or orphaned — see core.Tree.Degradation). It is the signal
-// the auto-recompile trigger compares against Config.RecompileThreshold;
+// the auto-recompile trigger compares against DefaultRecompileThreshold;
 // surface it in dashboards to watch update churn.
-func (a *Accelerator) Degradation() float64 {
-	a.waitTree()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.tree == nil {
-		return 0
-	}
-	return a.tree.Degradation()
+func (a *Accelerator) Degradation() (deg float64) {
+	a.onTree(true, func(t *core.Tree) { deg = t.Degradation() })
+	return deg
 }
 
 // Epoch returns the software image's current epoch: 0 at build,
@@ -857,15 +744,7 @@ type TelemetrySnapshot struct {
 // at any rate from monitoring loops; the same data serves the HTTP
 // exposition enabled by Config.TelemetryAddr.
 func (a *Accelerator) Telemetry() TelemetrySnapshot {
-	t := a.tel
-	a.mu.Lock()
-	var deg float64
-	var orphans int
-	if a.tree != nil { // nil while a restore's tree rebuild runs
-		deg = a.tree.Degradation()
-		orphans = a.tree.Orphans()
-	}
-	a.mu.Unlock()
+	t, health := a.tel, a.treeHealth() // zero while a restore's tree rebuild runs
 	s := TelemetrySnapshot{
 		Epoch:              a.handle.Current().Epoch(),
 		Packets:            t.Packets.Load(),
@@ -877,8 +756,8 @@ func (a *Accelerator) Telemetry() TelemetrySnapshot {
 		DegradationTrips:   t.DegradTrips.Load(),
 		CacheInvalidations: t.CacheInv.Load(),
 		GarbageRatio:       float64(t.GarbagePPM.Load()) / 1e6,
-		Degradation:        deg,
-		Orphans:            orphans,
+		Degradation:        health.degradation,
+		Orphans:            health.orphans,
 		SnapshotAgeNs:      t.NowNanos() - t.LastPublishNs.Load(),
 		Cache:              a.CacheStats(),
 		Events:             t.Events.Snapshot(),
@@ -936,40 +815,9 @@ func (a *Accelerator) Close() error {
 // explicit Recompile) clears the condition if the compacted structure
 // fits again.
 func (a *Accelerator) LoadError() error {
-	a.waitTree()
-	a.mu.Lock()
+	_, err := a.hardware()
 	defer a.mu.Unlock()
-	a.ensureSimLocked()
-	return a.simErr
-}
-
-// maybeRecompileLocked starts one background full rebuild when the
-// engine arenas have accumulated too much patch garbage, or the tree has
-// degraded a further threshold's worth beyond what the last recompile
-// could reclaim (degFloor — overgrown leaves survive Relayout; only a
-// fresh BuildAccelerator re-cuts them).
-func (a *Accelerator) maybeRecompileLocked() {
-	if a.threshold < 0 || a.closed {
-		return
-	}
-	if a.tree.Degradation() < a.degFloor+a.threshold &&
-		a.handle.Current().Engine().GarbageRatio() < a.threshold {
-		return
-	}
-	if !a.recompiling.CompareAndSwap(false, true) {
-		return // one rebuild in flight is enough
-	}
-	a.tel.DegradTrips.Inc()
-	a.tel.Events.Record(telemetry.EvDegradationTrip, a.handle.Current().Epoch(),
-		int64(a.tree.Degradation()*1e6),
-		int64(a.handle.Current().Engine().GarbageRatio()*1e6),
-		int64((a.degFloor+a.threshold)*1e6))
-	a.maint.Add(1)
-	go func() {
-		defer a.maint.Done()
-		defer a.recompiling.Store(false)
-		a.Recompile()
-	}()
+	return err
 }
 
 // Recompile folds all accumulated update patches into a fresh structure:
@@ -979,93 +827,31 @@ func (a *Accelerator) maybeRecompileLocked() {
 // rebuild wait for it (the control plane serializes; the data plane does
 // not).
 func (a *Accelerator) Recompile() {
-	a.waitTree()
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.recompileLocked()
+	a.onTree(true, a.recompileLocked)
 }
 
-func (a *Accelerator) recompileLocked() {
-	if a.tree == nil {
-		return
-	}
+func (a *Accelerator) recompileLocked(t *core.Tree) {
 	start := time.Now()
 	a.tel.Events.Record(telemetry.EvRecompileStart, a.handle.Current().Epoch(),
-		int64(a.tree.Degradation()*1e6), int64(a.tree.Orphans()), 0)
-	a.tree.Relayout()
-	s := a.handle.Swap(engine.Compile(a.tree))
+		int64(t.Degradation()*1e6), int64(t.Orphans()), 0)
+	t.Relayout()
+	s := a.handle.Swap(engine.Compile(t))
 	// Relayout moves leaf indices and word numbers, so queued deltas
-	// are invalid for the device image: full re-encode on next use.
-	a.simFull = true
-	a.simPending = nil
-	a.degFloor = a.tree.Degradation()
+	// are invalid for the device image: full load on next use.
+	a.dev.invalidate()
+	a.degFloor = t.Degradation()
 	ns := int64(time.Since(start))
 	a.tel.Recompiles.Inc()
 	a.tel.RecompileNs.Observe(ns)
 	a.tel.DegradationPPM.Set(int64(a.degFloor * 1e6))
 	a.tel.Events.Record(telemetry.EvRecompileDone, s.Epoch(),
-		ns, int64(a.tree.Words()), int64(a.degFloor*1e6))
+		ns, int64(t.Words()), int64(a.degFloor*1e6))
 }
 
 // WaitMaintenance blocks until background recompiles in flight have
 // finished. Useful in tests and orderly shutdown; normal operation never
 // needs it.
 func (a *Accelerator) WaitMaintenance() { a.maint.Wait() }
-
-// ensureSimLocked brings the simulated device memory up to date with the
-// tree, recording (and returning) the load error when the structure no
-// longer fits the device.
-//
-// The fast path replays the queued update deltas word-by-word through
-// the device's write interface (hwsim.Sim.ApplyDelta): each update costs
-// the handful of words it dirtied, not a re-encode of the table. A full
-// re-encode remains the fallback — after a recompile (deltas do not
-// survive a Relayout), after a failed patch (capacity or an unencodable
-// rule), or while recovering from an earlier load error.
-func (a *Accelerator) ensureSimLocked() error {
-	if a.tree == nil { // restore's background rebuild failed
-		if a.treeErr != nil {
-			return a.treeErr
-		}
-		return fmt.Errorf("repro: control-plane tree unavailable")
-	}
-	if !a.simFull && len(a.simPending) == 0 {
-		return a.simErr
-	}
-	if !a.simFull && a.simErr == nil && a.sim != nil {
-		if n, err := a.sim.ApplyDelta(a.tree, a.simPending...); err == nil {
-			a.simPending = nil
-			a.tel.Events.Record(telemetry.EvDeviceWrite,
-				a.handle.Current().Epoch(), int64(n), 0, 0)
-			return nil
-		}
-		// The word-level patch failed (typically the structure outgrew
-		// the device mid-write); fall through to the full re-encode,
-		// which rebuilds the image from scratch unconditionally.
-	}
-	a.simFull = false
-	a.simPending = nil
-	img, err := a.tree.Encode()
-	if err != nil {
-		a.simErr = fmt.Errorf("repro: updated structure not encodable: %w", err)
-		return a.simErr
-	}
-	sim, err := hwsim.New(img, a.dev)
-	if err != nil {
-		a.simErr = err
-		return a.simErr
-	}
-	if a.sim != nil {
-		// The replaced image's write interface really spent these
-		// cycles; keep DeviceWriteCycles cumulative across re-encodes.
-		a.simPriorWrites += a.sim.LoadCycles()
-	}
-	a.sim = sim
-	a.simErr = nil
-	a.tel.Events.Record(telemetry.EvDeviceWrite,
-		a.handle.Current().Epoch(), sim.LoadCycles(), 1, 0)
-	return nil
-}
 
 // DeviceWriteCycles reports the cumulative cycles the simulated device's
 // write interface has spent: every structure load (including full
@@ -1074,14 +860,9 @@ func (a *Accelerator) ensureSimLocked() error {
 // last hardware-path use may still be queued; this flushes them first,
 // so the figure reflects every applied update.
 func (a *Accelerator) DeviceWriteCycles() int64 {
-	a.waitTree()
-	a.mu.Lock()
+	a.hardware()
 	defer a.mu.Unlock()
-	a.ensureSimLocked()
-	if a.sim == nil {
-		return a.simPriorWrites
-	}
-	return a.simPriorWrites + a.sim.LoadCycles()
+	return a.dev.writeCycles()
 }
 
 // Engine is the flat software classification engine: the accelerator's

@@ -75,8 +75,8 @@ func TestAcceleratorIncrementalUpdates(t *testing.T) {
 }
 
 // TestAcceleratorAutoRecompile is the worked example of the degradation
-// threshold. Config.RecompileThreshold is the fraction of the leaf table
-// an operator lets incremental updates degrade (overgrown or orphaned
+// threshold: the fraction of the leaf table the facade lets
+// incremental updates degrade (overgrown or orphaned
 // leaves — see Accelerator.Degradation, plus engine arena garbage via
 // GarbageRatio) before the facade folds the accumulated patches into a
 // fresh structure in the background. The default,
@@ -93,10 +93,11 @@ func TestAcceleratorAutoRecompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := BuildAccelerator(rs, Config{Algorithm: HyperCuts, RecompileThreshold: 0.05})
+	acc, err := BuildAccelerator(rs, Config{Algorithm: HyperCuts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc.threshold = 0.05
 	full := append(RuleSet{}, rs...)
 	// Broad port-range rules replicate into many leaves: the fastest way
 	// to degrade a built structure.
@@ -232,10 +233,11 @@ func TestAcceleratorDeviceOverflowFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc, err := BuildAccelerator(rs, Config{Algorithm: HyperCuts, RecompileThreshold: -1})
+	acc, err := BuildAccelerator(rs, Config{Algorithm: HyperCuts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	acc.threshold = -1
 	full := append(RuleSet{}, rs...)
 	for i := 0; acc.LoadError() == nil; i++ {
 		if i > 400 {
