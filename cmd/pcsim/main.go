@@ -21,33 +21,32 @@
 //	curl -s http://127.0.0.1:9090/metrics | grep repro_packets_total
 //	go tool pprof http://127.0.0.1:9090/debug/pprof/profile?seconds=5
 //
-// -save writes the compiled engine's versioned image (internal/image)
-// after the run; -restore boots the host engine from such an image
-// instead of building the search structure — the cold-start path a
-// restarting replica takes. The device simulation needs the
-// control-plane tree and is skipped under -restore:
+// -save writes the serving engine's versioned image (internal/image)
+// after the run; -restore boots from such an image instead of building —
+// the cold-start path a restarting replica takes: the host engine
+// classifies the trace at once, the search structure is rebuilt from the
+// ruleset in the background, and the device simulation runs when it
+// lands. Give -restore the ruleset inputs the image was saved with:
 //
 //	pcsim -profile acl1 -n 10000 -save acl1.pcei
-//	pcsim -restore acl1.pcei -trace 20000
+//	pcsim -profile acl1 -n 10000 -restore acl1.pcei
+//
+// Everything goes through the public facade (package repro), so what
+// pcsim prints is what a library user gets.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/classbench"
-	"repro/internal/core"
+	"repro"
 	"repro/internal/energy"
-	"repro/internal/engine"
-	"repro/internal/hwsim"
 	"repro/internal/rule"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -66,8 +65,8 @@ func main() {
 		binth     = flag.Int("binth", 120, "leaf threshold")
 		telemAddr = flag.String("telemetry", "", "serve /metrics, /debug/events and /debug/pprof on this host:port (\":0\" picks a port)")
 		hold      = flag.Duration("hold", 0, "keep serving telemetry this long after the run (requires -telemetry)")
-		savePath  = flag.String("save", "", "write the compiled engine image to this file after the run")
-		restore   = flag.String("restore", "", "boot the host engine from an engine image instead of building (skips the device simulation)")
+		savePath  = flag.String("save", "", "write the serving engine image to this file after the run")
+		restore   = flag.String("restore", "", "boot the host engine from an engine image; the search structure is rebuilt in the background")
 	)
 	flag.Parse()
 
@@ -78,15 +77,36 @@ func main() {
 }
 
 func run(rulesFile, traceFile, profile string, n, traceN int, seed int64, algo, device string, speed, spfac, binth int, telemAddr string, hold time.Duration, savePath, restorePath string) error {
-	// Restore boots straight from a serialized engine image: no ruleset,
-	// no tree build — the replica cold-start path. The trace still comes
-	// from -tracefile, or is synthesized from -profile/-n when absent.
-	if restorePath != "" {
-		return runRestore(restorePath, traceFile, profile, n, traceN, seed, telemAddr, hold)
+	if hold > 0 && telemAddr == "" {
+		return errors.New("-hold keeps the telemetry server up and needs -telemetry")
+	}
+	cfg := repro.Config{Binth: binth, Spfac: spfac, TelemetryAddr: telemAddr, RestorePath: restorePath}
+	switch algo {
+	case "hicuts":
+		cfg.Algorithm = repro.HiCuts
+	case "hypercuts":
+		cfg.Algorithm = repro.HyperCuts
+	default:
+		return fmt.Errorf("unknown -algo %q", algo)
+	}
+	switch device {
+	case "asic":
+		cfg.Target = repro.TargetASIC
+	case "fpga":
+		cfg.Target = repro.TargetFPGA
+	default:
+		return fmt.Errorf("unknown -device %q", device)
+	}
+	switch speed {
+	case 0:
+		cfg.CompactLeaves = true
+	case 1:
+	default:
+		return fmt.Errorf("-speed must be 0 or 1, got %d", speed)
 	}
 
 	// Inputs.
-	var rs rule.RuleSet
+	var rs repro.RuleSet
 	if rulesFile != "" {
 		f, err := os.Open(rulesFile)
 		if err != nil {
@@ -98,71 +118,74 @@ func run(rulesFile, traceFile, profile string, n, traceN int, seed int64, algo, 
 			return err
 		}
 	} else {
-		p, err := classbench.ProfileByName(profile)
-		if err != nil {
+		var err error
+		if rs, err = repro.GenerateRuleset(profile, n, seed); err != nil {
 			return err
 		}
-		rs = classbench.Generate(p, n, seed)
 	}
-
-	var trace []rule.Packet
+	var trace []repro.Packet
 	if traceFile != "" {
 		var err error
 		if trace, err = readTraceFile(traceFile); err != nil {
 			return err
 		}
 	} else {
-		trace = classbench.GenerateTrace(rs, traceN, seed+1)
+		trace = repro.GenerateTrace(rs, traceN, seed+1)
 	}
 
-	// Build.
-	var a core.Algorithm
-	switch algo {
-	case "hicuts":
-		a = core.HiCuts
-	case "hypercuts":
-		a = core.HyperCuts
-	default:
-		return fmt.Errorf("unknown -algo %q", algo)
-	}
-	cfg := core.DefaultConfig(a)
-	cfg.Speed = speed
-	cfg.Spfac = spfac
-	cfg.Binth = binth
-	tree, err := core.Build(rs, cfg)
+	// Build, or restore: a restored accelerator returns as soon as the
+	// image is serving, before any search structure exists.
+	start := time.Now()
+	acc, err := repro.BuildAccelerator(rs, cfg)
 	if err != nil {
 		return err
 	}
-
-	var dev hwsim.Device
-	switch device {
-	case "asic":
-		dev = hwsim.ASIC
-	case "fpga":
-		dev = hwsim.FPGA
-	default:
-		return fmt.Errorf("unknown -device %q", device)
+	defer acc.Close()
+	if restorePath != "" {
+		fmt.Printf("engine image: %s -> serving in %s (no control-plane build; the search structure rebuilds in the background)\n",
+			restorePath, time.Since(start))
+	}
+	if addr := acc.TelemetryAddr(); addr != "" {
+		fmt.Printf("telemetry: http://%s/metrics /debug/events /debug/pprof/\n", addr)
 	}
 
-	fmt.Printf("ruleset: %d rules; algorithm: %v; binth=%d spfac=%d speed=%d\n",
-		len(rs), a, cfg.Binth, cfg.Spfac, cfg.Speed)
-	fmt.Printf("search structure: %d words = %d bytes (device capacity %d bytes), depth %d\n",
-		tree.Words(), tree.MemoryBytes(), core.DeviceBytes, tree.Depth())
-	fmt.Printf("worst-case cycles/memory accesses per packet: %d\n", tree.WorstCaseCycles())
-	fmt.Printf("guaranteed throughput on %s: %.0f pps (line rate: %s)\n",
-		dev.Name, hwsim.WorstCaseThroughputPPS(dev, tree.WorstCaseCycles()),
-		energy.HighestLine(hwsim.WorstCaseThroughputPPS(dev, tree.WorstCaseCycles())))
+	// Software fast path first: one timed pass, which under -restore
+	// runs on the restored image without waiting for the rebuild.
+	host := make([]int32, len(trace))
+	t0 := time.Now()
+	acc.ClassifyBatch(trace, host)
+	hostPPS := float64(len(trace)) / time.Since(t0).Seconds()
 
-	// Software fast path: the same tree flattened into the host engine,
-	// behind an epoch handle so the telemetry plane (when enabled) sees
-	// the same instrumented path production serving uses.
-	eng := engine.Compile(tree)
+	// The device model; these wait for a restore's rebuild.
+	fmt.Printf("ruleset: %d rules; algorithm: %v; binth=%d spfac=%d speed=%d\n", len(rs), cfg.Algorithm, binth, spfac, speed)
+	fmt.Printf("search structure: %d words = %d bytes\n", acc.Words(), acc.MemoryBytes())
+	fmt.Printf("worst-case cycles/memory accesses per packet: %d\n", acc.WorstCaseCycles())
+	guaranteed := acc.GuaranteedPPS()
+	fmt.Printf("guaranteed throughput on %s: %.0f pps (line rate: %s)\n",
+		acc.DeviceName(), guaranteed, energy.HighestLine(guaranteed))
+	matches, st := acc.Run(trace)
+	for i, m := range matches {
+		if m != int(host[i]) {
+			return fmt.Errorf("simulator/engine divergence: packet %d: device model matched rule %d, software engine %d", i, m, host[i])
+		}
+	}
+	if err := acc.LoadError(); err != nil {
+		fmt.Printf("NOTE: device memory not loaded (%v); the figures below are the analytical Eq. 5/7 walk\n", err)
+	}
+	fmt.Printf("trace: %d packets, %d matched (%.1f%%); software engine agrees on every packet\n",
+		st.Packets, st.Matched, 100*float64(st.Matched)/float64(st.Packets))
+	fmt.Printf("cycles: %d total, %.3f per packet sustained, worst observed latency %d\n",
+		st.Cycles, st.AvgCyclesPerPacket, st.WorstLatency)
+	fmt.Printf("throughput: %.0f pps on %s (%s)\n",
+		st.PacketsPerSecond, acc.DeviceName(), energy.HighestLine(st.PacketsPerSecond))
+	fmt.Printf("energy: %.3e J/packet\n", st.EnergyPerPacketJ)
+
 	if savePath != "" {
 		f, err := os.Create(savePath)
 		if err != nil {
 			return err
 		}
-		written, err := eng.Snapshot(f)
+		written, err := acc.SaveImage(f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -171,63 +194,18 @@ func run(rulesFile, traceFile, profile string, n, traceN int, seed int64, algo, 
 		}
 		fmt.Printf("engine image: %d bytes -> %s\n", written, savePath)
 	}
-	h := engine.NewHandle(eng)
-	var srv *telemetry.Server
-	if telemAddr != "" {
-		rec := telemetry.New()
-		h.SetTelemetry(rec)
-		rec.BuildNs.Observe(tree.BuildNanos())
-		rec.Events.Record(telemetry.EvBuild, 0,
-			tree.BuildNanos(), int64(len(rs)), int64(tree.Words()))
-		var err error
-		if srv, err = telemetry.Serve(telemAddr, rec); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry: http://%s/metrics /debug/events /debug/pprof/\n", srv.Addr())
+	fmt.Printf("host engine (%d bytes flat): %.0f pps single-core, one pass (%s)\n",
+		acc.SoftwareEngine().MemoryBytes(), hostPPS, energy.HighestLine(hostPPS))
+	if hold > 0 {
+		fmt.Printf("telemetry: holding for %s\n", hold)
+		time.Sleep(hold)
 	}
-	holdOpen := func() {
-		if srv != nil && hold > 0 {
-			fmt.Printf("telemetry: holding for %s\n", hold)
-			time.Sleep(hold)
-		}
-	}
-
-	if !tree.FitsDevice() {
-		fmt.Printf("NOTE: structure exceeds the 1024-word device; simulation skipped.\n")
-		fmt.Printf("      (the paper suggests doubling memory words or reducing spfac)\n")
-		reportEngine(h, eng, trace)
-		holdOpen()
-		return nil
-	}
-	img, err := tree.Encode()
-	if err != nil {
-		return err
-	}
-	sim, err := hwsim.New(img, dev)
-	if err != nil {
-		return err
-	}
-	_, st, err := sim.RunVerified(trace, eng)
-	if err != nil {
-		return fmt.Errorf("simulator/engine divergence: %w", err)
-	}
-	fmt.Printf("trace: %d packets, %d matched (%.1f%%); software engine agrees on every packet\n",
-		st.Packets, st.Matched, 100*float64(st.Matched)/float64(st.Packets))
-	fmt.Printf("cycles: %d total, %.3f per packet sustained, worst observed latency %d\n",
-		st.Cycles, st.AvgCyclesPerPacket, st.WorstLatency)
-	fmt.Printf("throughput: %.0f pps at %.0f MHz (%s)\n",
-		st.PacketsPerSecond, dev.FreqHz/1e6, energy.HighestLine(st.PacketsPerSecond))
-	fmt.Printf("energy: %.3e J/packet (normalized %.2f mW average power)\n",
-		st.EnergyPerPacketJ, dev.PowerW*1000)
-	reportEngine(h, eng, trace)
-	holdOpen()
 	return nil
 }
 
 // readTraceFile loads a packet trace, auto-detecting binary wire
 // frames, a pcap capture, or text lines (see internal/stream.Detect).
-func readTraceFile(path string) ([]rule.Packet, error) {
+func readTraceFile(path string) ([]repro.Packet, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -235,75 +213,4 @@ func readTraceFile(path string) ([]rule.Packet, error) {
 	defer f.Close()
 	src, _ := stream.Detect(bufio.NewReader(f))
 	return wire.ReadAll(src)
-}
-
-// runRestore is the -restore path: deserialize a saved engine image and
-// serve from it immediately, measuring how long the cold start took.
-// The control-plane tree is not rebuilt, so the cycle-accurate device
-// simulation (which walks the tree encoding) is skipped; the host
-// engine throughput report runs as usual.
-func runRestore(restorePath, traceFile, profile string, n, traceN int, seed int64, telemAddr string, hold time.Duration) error {
-	data, err := os.ReadFile(restorePath)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	h, err := engine.RestoreBytes(data)
-	if err != nil {
-		return fmt.Errorf("restoring %s: %w", restorePath, err)
-	}
-	elapsed := time.Since(start)
-	eng := h.Current().Engine()
-	fmt.Printf("engine image: %d bytes from %s -> serving in %s (no control-plane build)\n",
-		len(data), restorePath, elapsed)
-	fmt.Printf("restored engine: %d nodes, %d bytes flat, scan kernel %q\n",
-		eng.NumNodes(), eng.MemoryBytes(), eng.Kernel())
-	fmt.Printf("NOTE: device simulation needs the control-plane tree; skipped under -restore.\n")
-
-	var trace []rule.Packet
-	if traceFile != "" {
-		if trace, err = readTraceFile(traceFile); err != nil {
-			return err
-		}
-	} else {
-		p, err := classbench.ProfileByName(profile)
-		if err != nil {
-			return err
-		}
-		rs := classbench.Generate(p, n, seed)
-		trace = classbench.GenerateTrace(rs, traceN, seed+1)
-	}
-
-	var srv *telemetry.Server
-	if telemAddr != "" {
-		rec := telemetry.New()
-		h.SetTelemetry(rec)
-		if srv, err = telemetry.Serve(telemAddr, rec); err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("telemetry: http://%s/metrics /debug/events /debug/pprof/\n", srv.Addr())
-	}
-	reportEngine(h, eng, trace)
-	if srv != nil && hold > 0 {
-		fmt.Printf("telemetry: holding for %s\n", hold)
-		time.Sleep(hold)
-	}
-	return nil
-}
-
-// reportEngine measures the flat engine's wall-clock throughput on the
-// host: single-core batched and sharded across all cores. Classification
-// goes through the handle so an attached telemetry recorder observes it.
-func reportEngine(h *engine.Handle, eng *engine.Engine, trace []rule.Packet) {
-	if len(trace) == 0 {
-		return
-	}
-	out := make([]int32, len(trace))
-	single := bench.MeasurePPS(trace, func(t []rule.Packet) { h.ClassifyBatchCached(t, out) })
-	workers := runtime.GOMAXPROCS(0)
-	parallel := bench.MeasurePPS(trace, func(t []rule.Packet) { h.ParallelClassifyCached(t, out, workers) })
-	fmt.Printf("host engine (%d nodes, %d bytes flat): %.0f pps single-core (%s), %.0f pps on %d cores (%s)\n",
-		eng.NumNodes(), eng.MemoryBytes(),
-		single, energy.HighestLine(single), parallel, workers, energy.HighestLine(parallel))
 }

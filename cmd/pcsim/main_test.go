@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/classbench"
 	"repro/internal/rule"
@@ -65,6 +67,12 @@ func TestRunValidation(t *testing.T) {
 	if err := run("/does/not/exist", "", "", 0, 0, 0, "hicuts", "asic", 1, 4, 120, "", 0, "", ""); err == nil {
 		t.Error("missing rules file accepted")
 	}
+	if err := run("", "", "acl1", 50, 100, 1, "hicuts", "asic", 2, 4, 120, "", 0, "", ""); err == nil {
+		t.Error("-speed 2 accepted")
+	}
+	if err := run("", "", "acl1", 50, 100, 1, "hicuts", "asic", 1, 4, 120, "", time.Second, "", ""); err == nil {
+		t.Error("-hold without -telemetry accepted")
+	}
 }
 
 func TestRunSaveRestoreRoundTrip(t *testing.T) {
@@ -79,16 +87,22 @@ func TestRunSaveRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("image not written: %v (size %v)", err, fi)
 	}
 
-	// -restore boots from the image (no build) and reports throughput.
-	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, "", imgPath); err != nil {
+	// -restore boots from the image, runs the device model once the
+	// background rebuild lands, and honours -save: with no churn in
+	// between, the re-saved image is the file it booted from.
+	resaved := filepath.Join(dir, "resaved.pcei")
+	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, resaved, imgPath); err != nil {
 		t.Fatalf("restore run: %v", err)
 	}
-
-	// A corrupt image must fail closed, not serve garbage.
 	data, err := os.ReadFile(imgPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if again, err := os.ReadFile(resaved); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("-save under -restore: image differs from the one restored (err %v)", err)
+	}
+
+	// A corrupt image must fail closed, not serve garbage.
 	data[len(data)/2] ^= 0x40
 	badPath := filepath.Join(dir, "bad.pcei")
 	if err := os.WriteFile(badPath, data, 0o644); err != nil {

@@ -178,6 +178,34 @@ func TestSaveImageRestoreAfterChurn(t *testing.T) {
 	}
 }
 
+// Whatever layout an image carried, one Recompile after the restore lands
+// the accelerator on the engine a fresh build of the same ruleset
+// compiles — nothing of the image (or of its re-derived bank) survives
+// into the recompiled layout.
+func TestRestoreThenRecompileMatchesFreshBuild(t *testing.T) {
+	rs, err := GenerateRuleset("acl1", 400, 51)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := BuildAccelerator(rs, Config{Algorithm: HyperCuts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	dst, err := BuildAccelerator(rs, Config{Algorithm: HyperCuts, RestorePath: saveImageFile(t, fresh)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	dst.Recompile() // waits for the background rebuild
+	if dst.Epoch() != 1 {
+		t.Fatalf("epoch %d after restore + one Recompile, want 1", dst.Epoch())
+	}
+	if !dst.handle.Current().Engine().LayoutEqual(fresh.handle.Current().Engine()) {
+		t.Fatal("restore + Recompile: engine layout differs from a fresh build's")
+	}
+}
+
 // Restore must fail closed — missing file, corrupt image — with a typed
 // error from the image layer where applicable.
 func TestRestoreFailsClosedFacade(t *testing.T) {

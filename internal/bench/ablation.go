@@ -2,13 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/classbench"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/hwsim"
-	"repro/internal/rule"
 	"repro/internal/sa1100"
 )
 
@@ -33,18 +30,6 @@ type AblationResult struct {
 	// Pipelining: cycles/packet with the root-overlap (measured) and
 	// without (sum of unpipelined latencies).
 	OverlapCyc, NoOverlapCyc float64
-
-	// Leaf-scan layout on the host engine: the SoA comparator bank
-	// (paper's 30 parallel comparators, software twin) vs the AoS
-	// early-exit scan, packets/sec on the same engine and trace.
-	SoALeafPPS, AoSLeafPPS float64
-
-	// Scan-kernel dispatch: the same engine classified once per
-	// available scan kernel (the portable oracle plus the CPU's native
-	// SIMD kernel when present), packets/sec. Parallel slices; index 0
-	// is always "portable".
-	KernelNames []string
-	KernelPPS   []float64
 }
 
 // RunAblations measures all four ablations on an acl1 ruleset of size n.
@@ -137,51 +122,7 @@ func RunAblations(opts Options, n int) (AblationResult, error) {
 		latSum += int64(sim.ClassifyOne(p).LatencyCycles)
 	}
 	res.NoOverlapCyc = float64(latSum) / float64(len(trace))
-
-	// Leaf-scan layout: the same flat engine classified through the SoA
-	// comparator bank and through the AoS early-exit scan,
-	// differentially checked packet-exact before timing.
-	eng := engine.Compile(tr)
-	for i, p := range trace {
-		if got, want := eng.Classify(p), eng.ClassifyAoS(p); got != want {
-			return res, fmt.Errorf("ablation n=%d: packet %d: soa=%d aos=%d", n, i, got, want)
-		}
-	}
-	out := make([]int32, len(trace))
-	res.AoSLeafPPS = MeasurePPS(trace, func(t []rule.Packet) { eng.ClassifyBatchAoS(t, out) })
-	res.SoALeafPPS = MeasurePPS(trace, func(t []rule.Packet) { eng.ClassifyBatch(t, out) })
-
-	// Scan-kernel dispatch: one timed row per kernel, each differentially
-	// checked against the AoS oracle before timing.
-	for _, k := range engine.Kernels() {
-		ke, err := eng.WithKernel(k)
-		if err != nil {
-			return res, fmt.Errorf("ablation n=%d: kernel %s: %w", n, k, err)
-		}
-		for i, p := range trace {
-			if got, want := ke.Classify(p), eng.ClassifyAoS(p); got != want {
-				return res, fmt.Errorf("ablation n=%d: kernel %s: packet %d: %d vs aos %d", n, k, i, got, want)
-			}
-		}
-		res.KernelNames = append(res.KernelNames, k)
-		res.KernelPPS = append(res.KernelPPS,
-			MeasurePPS(trace, func(t []rule.Packet) { ke.ClassifyBatch(t, out) }))
-	}
 	return res, nil
-}
-
-// MeasurePPS repeats classify over the trace until enough wall time has
-// elapsed for a stable packets/sec estimate. It is the one timing loop
-// shared by the ablation rows and cmd/pcsim's host-engine report.
-func MeasurePPS(trace []rule.Packet, classify func([]rule.Packet)) float64 {
-	const minDur = 30 * time.Millisecond
-	start := time.Now()
-	n := 0
-	for time.Since(start) < minDur {
-		classify(trace)
-		n += len(trace)
-	}
-	return float64(n) / time.Since(start).Seconds()
 }
 
 // AblationTable renders the ablation comparison.
@@ -221,19 +162,5 @@ func AblationTable(r AblationResult) *Table {
 		fmt.Sprintf("overlap: %.3f", r.OverlapCyc),
 		fmt.Sprintf("none: %.3f", r.NoOverlapCyc),
 		"one cycle hidden per packet")
-	add("leaf-scan layout (host engine pps)",
-		fmt.Sprintf("soa bank: %.2fM", r.SoALeafPPS/1e6),
-		fmt.Sprintf("aos scan: %.2fM", r.AoSLeafPPS/1e6),
-		fmt.Sprintf("%.2fx", r.SoALeafPPS/r.AoSLeafPPS))
-	for i, k := range r.KernelNames {
-		verdict := "baseline"
-		if i > 0 && r.KernelPPS[0] > 0 {
-			verdict = fmt.Sprintf("%.2fx vs portable", r.KernelPPS[i]/r.KernelPPS[0])
-		}
-		add("scan kernel (host engine pps)",
-			fmt.Sprintf("kernel=%s: %.2fM", k, r.KernelPPS[i]/1e6),
-			fmt.Sprintf("kernel=%s: %.2fM", r.KernelNames[0], r.KernelPPS[0]/1e6),
-			verdict)
-	}
 	return t
 }

@@ -24,7 +24,6 @@ package classbench
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/rule"
 )
@@ -455,9 +454,4 @@ func Table1() rule.RuleSet {
 		rs[i] = rule.FromBytes(i, s[0], s[1])
 	}
 	return rs
-}
-
-// SortByPriority re-sorts rules by ID; useful after external manipulation.
-func SortByPriority(rs rule.RuleSet) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
 }

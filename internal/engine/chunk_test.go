@@ -55,7 +55,7 @@ func TestPatchSharesUneditedChunks(t *testing.T) {
 	}
 	touched := map[int32]bool{}
 	for _, le := range d.LeafEdits {
-		touched[e0.leafSlot(le.Index)>>leafChunkBits] = true
+		touched[int32(le.Index)>>leafChunkBits] = true
 	}
 	// Appends may have grown the directory past e0's chunks.
 	shared, copied := 0, 0
@@ -119,11 +119,11 @@ func TestGarbageAccountingAcrossChunks(t *testing.T) {
 	wantDead := e0.deadRuleSlots
 	for _, le := range d.LeafEdits {
 		if !le.New {
-			wantDead += int(e0.leafAt(e0.leafSlot(le.Index)).n)
+			wantDead += int(e0.leafAt(int32(le.Index)).n)
 		}
 	}
 	for _, oi := range d.Orphaned {
-		wantDead += int(e0.leafAt(e0.leafSlot(oi)).n)
+		wantDead += int(e0.leafAt(int32(oi)).n)
 	}
 	e1, err := e0.Patch(d)
 	if err != nil {

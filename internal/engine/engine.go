@@ -21,11 +21,13 @@
 //     []int32 pool (the rules-in-leaf storage of §3; deduplicated leaves
 //     keep their sharing, so the pool is the software twin of the leaf
 //     words). The rules' bounds are stored twice: as a flat []flatRule
-//     array indexed by rule ID (the update path's source of truth and
-//     the AoS ablation baseline), and as structure-of-arrays
-//     per-dimension lo/hi arenas in pool order — the software comparator
-//     bank (soa.go) the leaf scan sweeps with branch-free blocked
-//     compares, the stand-in for the 30 parallel comparators.
+//     array indexed by rule ID (the source of truth, and the AoS
+//     baseline), and as structure-of-arrays per-dimension lo/hi arenas
+//     in pool order — the software comparator bank (soa.go) the leaf
+//     scan sweeps with branch-free blocked compares, the stand-in for
+//     the 30 parallel comparators. The bank is derived state: Compile
+//     and image restore build it from the rule table and the pool
+//     (soaBank.build), Patch appends to it in lock-step with the pool.
 //
 // Traversal therefore never chases a Go pointer: it walks int32 indices
 // through three flat arrays, computing child indexes with the identical
@@ -149,13 +151,6 @@ type Engine struct {
 	// soa_dispatch.go; WithKernel derives a re-stamped view for A/B runs.
 	kern uint8
 
-	// sentinel is the leaf-table index of the compile-time empty-leaf
-	// sentinel inserted for nil child slots, or -1. core.Build never
-	// emits nil children, so for patched engines it is always -1; when
-	// present it offsets the core-index → leaf-table translation of
-	// leafSlot.
-	sentinel int32
-
 	// deadRuleSlots / deadKidSlots count pool entries abandoned by
 	// patches (rewritten leaf windows, relocated kid blocks). They feed
 	// GarbageRatio, the recompile trigger.
@@ -175,10 +170,9 @@ func Compile(t *core.Tree) *Engine {
 	rs := t.Rules()
 
 	e := &Engine{
-		nodes:    make([]node, len(internals)),
-		rules:    make([]flatRule, len(rs)),
-		sentinel: -1,
-		kern:     defaultKern,
+		nodes: make([]node, len(internals)),
+		rules: make([]flatRule, len(rs)),
+		kern:  defaultKern,
 	}
 	for i := range rs {
 		for d := 0; d < rule.NumDims; d++ {
@@ -193,20 +187,13 @@ func Compile(t *core.Tree) *Engine {
 		total += len(l.Rules)
 	}
 	e.ruleIDs = make([]int32, 0, total)
-	for d := 0; d < rule.NumDims; d++ {
-		e.soa.lo[d] = make([]uint32, 0, total+soaPadSlots)
-		e.soa.hi[d] = make([]uint32, 0, total+soaPadSlots)
-	}
-	flat := make([]leafRef, len(leafNodes), len(leafNodes)+1)
+	flat := make([]leafRef, len(leafNodes))
 	for i, l := range leafNodes {
 		leafIdx[l] = int32(i)
 		flat[i] = leafRef{off: int32(len(e.ruleIDs)), n: int32(len(l.Rules))}
 		e.ruleIDs = append(e.ruleIDs, l.Rules...)
-		e.soa.appendWindow(e.rules, l.Rules)
 	}
-	// Shared sentinel for nil child slots (core.Build never emits them,
-	// but compiled input is not required to come from Build alone).
-	emptyLeaf := int32(-1)
+	e.soa.build(e.rules, e.ruleIDs)
 
 	for w, n := range internals {
 		// layout() numbers internal nodes breadth-first: n.Word == w.
@@ -219,20 +206,12 @@ func Compile(t *core.Tree) *Engine {
 		for _, c := range n.Cuts {
 			e.cuts = append(e.cuts, cut{dim: uint8(c.Dim), mask: c.Mask, shift: c.Shift})
 		}
+		// core.Build never leaves a child slot nil: empty regions share
+		// one empty leaf.
 		for _, c := range n.Children {
-			var ref int32
-			switch {
-			case c == nil:
-				if emptyLeaf < 0 {
-					emptyLeaf = int32(len(flat))
-					flat = append(flat, leafRef{})
-					e.sentinel = emptyLeaf
-				}
-				ref = ^emptyLeaf
-			case c.Leaf:
+			ref := int32(c.Word)
+			if c.Leaf {
 				ref = ^leafIdx[c]
-			default:
-				ref = int32(c.Word)
 			}
 			e.kids = append(e.kids, ref)
 		}
@@ -268,7 +247,7 @@ func (e *Engine) leafAt(i int32) leafRef {
 // comparator bank (soa.go): five contiguous per-dimension sweeps over the
 // window's bounds, branch-free, with the first set mask bit as the match
 // — the software twin of the accelerator's 30 parallel comparators.
-// ClassifyAoS is the array-of-structs fallback kept for the ablation.
+// ClassifyAoS is the array-of-structs baseline it is measured against.
 //
 //repro:hotpath
 func (e *Engine) Classify(p rule.Packet) int {
@@ -342,9 +321,10 @@ func (e *Engine) scanLeaf(l leafRef, f *[rule.NumDims]uint32) int {
 
 // ClassifyAoS is Classify with the array-of-structs leaf scan: one rule
 // at a time over []flatRule with early exit. It is the portable baseline
-// the SoA comparator bank is ablated against (bench.RunAblations,
-// BenchmarkLeafScan) and the differential oracle of the SoA tests; the
-// two are packet-identical by construction and by test.
+// the SoA comparator bank is measured against (benchmark/'s
+// engine.classify_aos_ns_pkt, BenchmarkLeafScan) and the differential
+// oracle of the SoA tests; the two are packet-identical by construction
+// and by test.
 func (e *Engine) ClassifyAoS(p rule.Packet) int {
 	f := [rule.NumDims]uint32{p.SrcIP, p.DstIP, uint32(p.SrcPort), uint32(p.DstPort), uint32(p.Proto)}
 	return e.aosScanLeaf(e.walk(&f), &f)
@@ -414,7 +394,7 @@ func (e *Engine) ClassifyBatch(pkts []rule.Packet, out []int32) {
 }
 
 // ClassifyBatchAoS is ClassifyBatch over the array-of-structs leaf scan
-// (see ClassifyAoS); the ablation's measurement surface.
+// (see ClassifyAoS); the baseline's measurement surface.
 func (e *Engine) ClassifyBatchAoS(pkts []rule.Packet, out []int32) {
 	_ = out[:len(pkts)]
 	for i := range pkts {

@@ -55,8 +55,11 @@ func FuzzImageRestore(f *testing.F) {
 	f.Add(img[:len(img)/3])
 	f.Add([]byte{})
 	f.Add([]byte(image.Magic))
-	f.Add([]byte("PCEI\x01\x00\x00\x00\x18\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")) // empty image
-	f.Add([]byte("PCEI\x02\x00\x00\x00\x18\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00")) // future version
+	// Zero-section images — the smallest well-formed container — in the
+	// current, the previous and the next format version.
+	for _, v := range []byte{image.Version, image.Version - 1, image.Version + 1} {
+		f.Add(append([]byte{'P', 'C', 'E', 'I', v, 0, 0, 0, 24}, make([]byte, 15)...))
+	}
 	f.Add(bytes.Repeat([]byte{0xFF}, 128))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := RestoreEngineBytes(bytes.Clone(data))

@@ -14,33 +14,33 @@ import (
 // arenas into the container format (internal/image) and Restore
 // publishes a serving engine from it without invoking Build.
 //
-// What travels: the flat arenas (nodes/cuts/kids), the flattened leaf
-// table, the ruleIDs pool, the rule bounds, the SoA comparator-bank
-// arenas, and the kernel-independent metadata (leaf count, sentinel,
-// garbage counters, the bank's sweep-order permutation).
+// What travels is the search structure and nothing else — seven
+// sections: the metadata (garbage counters, leaf count, the bank's
+// sweep-order permutation), the flat arenas (nodes/cuts/kids), the
+// flattened leaf table, the ruleIDs pool and the rule bounds.
 //
-// What does NOT travel, because it is host-dependent and re-derived on
-// restore: the scan-kernel tag (the restoring host re-probes its own
-// CPU features and stamps defaultKern) and the bank's resolved sweep
-// pointers plus over-read padding (soaBank.pad() re-establishes both).
+// What does NOT travel is re-derived on restore: the scan-kernel tag
+// (the restoring host re-probes its own CPU features and stamps
+// defaultKern), the SoA comparator bank (a pure function of the rule
+// table and the ruleIDs pool; soaBank.build fills it exactly as Compile
+// does, so it cannot disagree with its source) and the bank's resolved
+// sweep pointers plus over-read padding (soaBank.pad()).
 //
 // Restore trusts nothing: beyond the container's checksums it
 // re-validates every structural invariant the classify path relies on —
 // section sizes, leaf and kid block bounds, rule-ID ranges, the
-// mask/shift fan-out of every node against its child block, the
-// breadth-first child>parent numbering that guarantees walk termination,
-// and the SoA arenas' slot-for-slot agreement with the rule table — so
-// a checksum-valid but inconsistent image fails closed with a
+// mask/shift fan-out of every node against its child block and the
+// breadth-first child>parent numbering that guarantees walk termination
+// — so a checksum-valid but inconsistent image fails closed with a
 // *image.FormatError instead of producing a panicking or silently-wrong
 // engine.
 //
 // On little-endian hosts both directions are zero-copy: Snapshot
 // aliases the arenas as section bytes, and Restore aliases validated
 // section bytes back as typed arenas (section starts are 8-aligned by
-// the container). The SoA arenas are emitted before the rule table so
-// an aliased arena's SIMD over-read slack (soaPadSlots) still lands
-// inside the image buffer; Restore falls back to a padded copy when it
-// does not. Big-endian hosts take a per-word encode/decode loop.
+// the container). The aliases have no spare capacity, so a restored
+// engine's Patch appends reallocate and never write into the image
+// buffer. Big-endian hosts take a per-word encode/decode loop.
 
 // Section IDs of the engine image. Frozen: any layout change bumps
 // image.Version instead of reinterpreting an existing ID.
@@ -52,16 +52,16 @@ const (
 	secLeaves  = 5
 	secRuleIDs = 6
 	secRules   = 7
-	// Per-dimension SoA arenas: secSoALo+d / secSoAHi+d for each
-	// dimension d.
-	secSoALo = 16
-	secSoAHi = 24
+
+	numSections = 7
 )
 
-// metaLen is the fixed size of the secMeta section: numLeaves u32,
-// sentinel i32, deadRuleSlots u64, deadKidSlots u64, order [5]u8,
-// zero pad to 8 bytes.
-const metaLen = 32
+// The secMeta section: deadRuleSlots u64, deadKidSlots u64, numLeaves
+// u32, order [5]u8 at metaOrder, zero pad to metaLen.
+const (
+	metaOrder = 20
+	metaLen   = 32
+)
 
 // The zero-copy alias paths depend on these layouts exactly; a field
 // added to any of the POD structs must bump image.Version and fails
@@ -152,56 +152,6 @@ func cutSlice(data []byte) []cut {
 	return unsafe.Slice((*cut)(unsafe.Pointer(unsafe.SliceData(data))), n)
 }
 
-// arenaPadLen is the dedicated over-read slack appended to every SoA
-// arena section: soaPadSlots zeroed slots, CRC-covered like the rest of
-// the section. Restore aliases arena+slack entirely within the
-// section's own bytes, so the SIMD over-read contract holds without
-// borrowing a neighboring section's data — and a later Patch appending
-// into the slack (the same thing pad()-managed live arenas allow)
-// can only touch bytes this arena owns.
-const arenaPadLen = soaPadSlots * 4
-
-// arenaBytes serializes one SoA arena followed by its dedicated zeroed
-// slack. Unlike the other pools this always copies: the live arena's
-// own capacity slack holds garbage, and the image must be
-// deterministic, zero-padded bytes.
-//
-//repro:unsafe-shape reads an aligned live arena as bytes for the copy-out; never aliased into the image
-func arenaBytes(a []uint32) []byte {
-	out := make([]byte, len(a)*4+arenaPadLen)
-	if hostLE && len(a) > 0 {
-		copy(out, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a))), len(a)*4))
-	} else {
-		for i, w := range a {
-			binary.LittleEndian.PutUint32(out[i*4:], w)
-		}
-	}
-	return out
-}
-
-// arenaSlice decodes one SoA arena section (slots plus dedicated
-// slack), aliasing it in place on aligned little-endian hosts with the
-// slack as capacity — exactly the cap-len >= soaPadSlots contract
-// soaBank.pad() establishes, so pad() never reallocates a restored
-// bank. The caller has validated len(data) >= arenaPadLen and
-// 4-divisibility.
-//
-//repro:unsafe-shape aliases arena section bytes as []uint32 behind an explicit mod-4 guard; copies when misaligned
-func arenaSlice(data []byte) []uint32 {
-	n := (len(data) - arenaPadLen) / 4
-	if n > 0 && hostLE {
-		p := unsafe.Pointer(unsafe.SliceData(data))
-		if uintptr(p)%4 == 0 {
-			return unsafe.Slice((*uint32)(p), n+soaPadSlots)[:n]
-		}
-	}
-	out := make([]uint32, n, n+soaPadSlots)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(data[i*4:])
-	}
-	return out
-}
-
 // Snapshot serializes this engine — one epoch's immutable image — into
 // the versioned, checksummed container format and writes it to w,
 // returning the number of bytes written. The engine is immutable, so
@@ -209,34 +159,25 @@ func arenaSlice(data []byte) []uint32 {
 // deriving later epochs.
 func (e *Engine) Snapshot(w io.Writer) (int64, error) {
 	meta := make([]byte, metaLen)
-	binary.LittleEndian.PutUint32(meta[0:4], uint32(e.numLeaves))
-	binary.LittleEndian.PutUint32(meta[4:8], uint32(e.sentinel))
-	binary.LittleEndian.PutUint64(meta[8:16], uint64(e.deadRuleSlots))
-	binary.LittleEndian.PutUint64(meta[16:24], uint64(e.deadKidSlots))
-	copy(meta[24:24+rule.NumDims], e.soa.order[:])
+	binary.LittleEndian.PutUint64(meta[0:8], uint64(e.deadRuleSlots))
+	binary.LittleEndian.PutUint64(meta[8:16], uint64(e.deadKidSlots))
+	binary.LittleEndian.PutUint32(meta[16:20], uint32(e.numLeaves))
+	copy(meta[metaOrder:], e.soa.order[:])
 
 	flat := make([]leafRef, e.numLeaves)
 	for i := range flat {
 		flat[i] = e.leafAt(int32(i))
 	}
 
-	secs := make([]image.Section, 0, 7+2*rule.NumDims)
-	secs = append(secs,
-		image.Section{ID: secMeta, Data: meta},
-		image.Section{ID: secNodes, Data: podBytes(e.nodes)},
-		image.Section{ID: secCuts, Data: cutBytes(e.cuts)},
-		image.Section{ID: secKids, Data: podBytes(e.kids)},
-		image.Section{ID: secLeaves, Data: podBytes(flat)},
-		image.Section{ID: secRuleIDs, Data: podBytes(e.ruleIDs)},
-	)
-	for d := 0; d < rule.NumDims; d++ {
-		secs = append(secs, image.Section{ID: secSoALo + uint32(d), Data: arenaBytes(e.soa.lo[d])})
-	}
-	for d := 0; d < rule.NumDims; d++ {
-		secs = append(secs, image.Section{ID: secSoAHi + uint32(d), Data: arenaBytes(e.soa.hi[d])})
-	}
-	secs = append(secs, image.Section{ID: secRules, Data: podBytes(e.rules)})
-	return image.Write(w, secs)
+	return image.Write(w, []image.Section{
+		{ID: secMeta, Data: meta},
+		{ID: secNodes, Data: podBytes(e.nodes)},
+		{ID: secCuts, Data: cutBytes(e.cuts)},
+		{ID: secKids, Data: podBytes(e.kids)},
+		{ID: secLeaves, Data: podBytes(flat)},
+		{ID: secRuleIDs, Data: podBytes(e.ruleIDs)},
+		{ID: secRules, Data: podBytes(e.rules)},
+	})
 }
 
 func imgErr(sec uint32, format string, args ...any) error {
@@ -248,11 +189,12 @@ func imgErr(sec uint32, format string, args ...any) error {
 // ready-to-serve Engine. Every failure — container corruption or an
 // engine-level invariant violation — is a *image.FormatError; on
 // success the engine is re-stamped for this host (scan kernel, SoA
-// sweep pointers and padding) and is safe for immediate concurrent
-// classification and for further patching via Patch/PatchBatch. The
-// restored engine's arenas alias b on little-endian hosts, so the whole
-// restore allocates only the chunked leaf table. b must not be mutated
-// while the engine is alive.
+// bank, sweep pointers and padding) and is safe for immediate
+// concurrent classification and for further patching via
+// Patch/PatchBatch. The restored engine's pools alias b on
+// little-endian hosts, so the whole restore allocates the leaf table
+// and the bank. b must not be mutated while the engine is alive; the
+// engine and its patched successors never write to it.
 func RestoreEngineBytes(b []byte) (*Engine, error) {
 	secs, err := image.ReadBytes(b)
 	if err != nil {
@@ -279,9 +221,8 @@ func restoreSections(secs []image.Section) (*Engine, error) {
 	for _, s := range secs {
 		byID[s.ID] = s.Data
 	}
-	want := 7 + 2*rule.NumDims
-	if len(secs) != want {
-		return nil, imgErr(0, "engine image has %d sections, want %d", len(secs), want)
+	if len(secs) != numSections {
+		return nil, imgErr(0, "engine image has %d sections, want %d", len(secs), numSections)
 	}
 	need := func(id uint32, elem int, what string) ([]byte, error) {
 		d, ok := byID[id]
@@ -298,13 +239,12 @@ func restoreSections(secs []image.Section) (*Engine, error) {
 	if !ok || len(meta) != metaLen {
 		return nil, imgErr(secMeta, "missing or missized metadata section")
 	}
-	numLeaves := int32(binary.LittleEndian.Uint32(meta[0:4]))
-	sentinel := int32(binary.LittleEndian.Uint32(meta[4:8]))
-	deadRuleSlots := binary.LittleEndian.Uint64(meta[8:16])
-	deadKidSlots := binary.LittleEndian.Uint64(meta[16:24])
+	deadRuleSlots := binary.LittleEndian.Uint64(meta[0:8])
+	deadKidSlots := binary.LittleEndian.Uint64(meta[8:16])
+	numLeaves := int32(binary.LittleEndian.Uint32(meta[16:20]))
 	var order [rule.NumDims]uint8
-	copy(order[:], meta[24:24+rule.NumDims])
-	for _, b := range meta[24+rule.NumDims:] {
+	copy(order[:], meta[metaOrder:])
+	for _, b := range meta[metaOrder+rule.NumDims:] {
 		if b != 0 {
 			return nil, imgErr(secMeta, "nonzero metadata padding")
 		}
@@ -348,42 +288,17 @@ func restoreSections(secs []image.Section) (*Engine, error) {
 		kids:          podSlice[int32](kidsB),
 		ruleIDs:       podSlice[int32](ruleIDsB),
 		rules:         podSlice[flatRule](rulesB),
-		sentinel:      sentinel,
 		deadRuleSlots: int(deadRuleSlots),
 		deadKidSlots:  int(deadKidSlots),
 		kern:          defaultKern, // host-dependent: never restored
 	}
 	flat := podSlice[leafRef](leavesB)
-	slots := len(e.ruleIDs)
-	arena := func(id uint32, what string) ([]uint32, error) {
-		b, err := need(id, 4, what)
-		if err != nil {
-			return nil, err
-		}
-		if len(b) != slots*4+arenaPadLen {
-			return nil, imgErr(id, "%s section has %d bytes, want %d slots plus %d-byte slack", what, len(b), slots, arenaPadLen)
-		}
-		for _, pb := range b[slots*4:] {
-			if pb != 0 {
-				return nil, imgErr(id, "%s over-read slack is not zeroed", what)
-			}
-		}
-		return arenaSlice(b), nil
-	}
-	for d := 0; d < rule.NumDims; d++ {
-		if e.soa.lo[d], err = arena(secSoALo+uint32(d), "SoA lo"); err != nil {
-			return nil, err
-		}
-		if e.soa.hi[d], err = arena(secSoAHi+uint32(d), "SoA hi"); err != nil {
-			return nil, err
-		}
-	}
-	e.soa.order = order
-
 	if err := e.validateRestored(flat, numLeaves, deadRuleSlots, deadKidSlots); err != nil {
 		return nil, err
 	}
 	e.setLeaves(flat)
+	e.soa.build(e.rules, e.ruleIDs)
+	e.soa.order = order
 	e.soa.pad()
 	return e, nil
 }
@@ -402,19 +317,14 @@ func restoreSections(secs []image.Section) (*Engine, error) {
 //     what bounds the walk: indexes strictly increase, so traversal
 //     terminates);
 //   - every leaf window lies inside the rule-ID pool and every pooled
-//     rule ID indexes the rule table;
-//   - the SoA arenas agree slot-for-slot with the rule table through
-//     the pool (the bank is derived state; disagreement means a forged
-//     or torn image that would classify silently wrong).
+//     rule ID indexes the rule table (which is also what lets
+//     soaBank.build resolve every slot afterwards).
 func (e *Engine) validateRestored(flat []leafRef, numLeaves int32, deadRuleSlots, deadKidSlots uint64) error {
 	if int(numLeaves) != len(flat) {
 		return imgErr(secMeta, "metadata says %d leaves, leaf table has %d", numLeaves, len(flat))
 	}
 	if len(e.nodes) == 0 || len(flat) == 0 {
 		return imgErr(secNodes, "engine image has no root node or no leaves")
-	}
-	if e.sentinel < -1 || e.sentinel >= numLeaves {
-		return imgErr(secMeta, "sentinel leaf %d out of range [-1,%d)", e.sentinel, numLeaves)
 	}
 	if deadRuleSlots > uint64(len(e.ruleIDs)) || deadKidSlots > uint64(len(e.kids)) {
 		return imgErr(secMeta, "garbage counters exceed pool sizes")
@@ -468,29 +378,10 @@ func (e *Engine) validateRestored(flat []leafRef, numLeaves int32, deadRuleSlots
 			return imgErr(secLeaves, "leaf %d window [%d,+%d) outside rule-ID pool of %d", i, l.off, l.n, nIDs)
 		}
 	}
-	// Pool and SoA validation fused into one pass, branchless in the
-	// hot path: per slot, a wraparound bounds check on the pooled rule
-	// ID and an XOR-accumulated slot-for-slot comparison of the five
-	// lo/hi arena streams against the 40-byte rule row. The arenas are
-	// derived state; disagreement means a forged or torn image that
-	// would classify silently wrong. This loop is most of restore's CPU
-	// budget, hence the shape (restore latency is the feature).
 	nRules := uint32(len(e.rules))
-	slots := len(e.ruleIDs)
-	lo0, lo1, lo2, lo3, lo4 := e.soa.lo[0][:slots], e.soa.lo[1][:slots], e.soa.lo[2][:slots], e.soa.lo[3][:slots], e.soa.lo[4][:slots]
-	hi0, hi1, hi2, hi3, hi4 := e.soa.hi[0][:slots], e.soa.hi[1][:slots], e.soa.hi[2][:slots], e.soa.hi[3][:slots], e.soa.hi[4][:slots]
 	for i, id := range e.ruleIDs {
 		if uint32(id) >= nRules {
 			return imgErr(secRuleIDs, "pool slot %d holds rule ID %d, table has %d", i, id, nRules)
-		}
-		r := &e.rules[id]
-		diff := (lo0[i] ^ r.lo[0]) | (hi0[i] ^ r.hi[0]) |
-			(lo1[i] ^ r.lo[1]) | (hi1[i] ^ r.hi[1]) |
-			(lo2[i] ^ r.lo[2]) | (hi2[i] ^ r.hi[2]) |
-			(lo3[i] ^ r.lo[3]) | (hi3[i] ^ r.hi[3]) |
-			(lo4[i] ^ r.lo[4]) | (hi4[i] ^ r.hi[4])
-		if diff != 0 {
-			return imgErr(secSoALo, "SoA arena slot %d disagrees with rule %d", i, id)
 		}
 	}
 	return nil
@@ -502,7 +393,7 @@ func (e *Engine) validateRestored(flat []leafRef, numLeaves int32, deadRuleSlots
 // pointers) and garbage counters are excluded. The facade uses it to
 // reconcile a restored image against a background rebuild.
 func (e *Engine) LayoutEqual(o *Engine) bool {
-	if e.numLeaves != o.numLeaves || e.sentinel != o.sentinel ||
+	if e.numLeaves != o.numLeaves ||
 		len(e.nodes) != len(o.nodes) || len(e.cuts) != len(o.cuts) ||
 		len(e.kids) != len(o.kids) || len(e.ruleIDs) != len(o.ruleIDs) ||
 		len(e.rules) != len(o.rules) {

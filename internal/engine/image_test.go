@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/classbench"
@@ -54,6 +56,20 @@ func snapshotBytes(t *testing.T, e *Engine) []byte {
 	return buf.Bytes()
 }
 
+// checkBankEqual pins two banks to the same comparator contents: equal
+// sweep order and slot-for-slot equal lo/hi arenas.
+func checkBankEqual(t *testing.T, got, want *soaBank) {
+	t.Helper()
+	if got.order != want.order {
+		t.Fatalf("bank sweep order %v, want %v", got.order, want.order)
+	}
+	for d := 0; d < rule.NumDims; d++ {
+		if !slices.Equal(got.lo[d], want.lo[d]) || !slices.Equal(got.hi[d], want.hi[d]) {
+			t.Fatalf("dim %d: bank arenas differ", d)
+		}
+	}
+}
+
 func TestImageRoundTrip(t *testing.T) {
 	for _, algo := range []core.Algorithm{core.HiCuts, core.HyperCuts} {
 		for _, churn := range []int{0, 60} {
@@ -70,6 +86,9 @@ func TestImageRoundTrip(t *testing.T) {
 				if got.kern != defaultKern {
 					t.Errorf("restored kern %d, want this host's default %d", got.kern, defaultKern)
 				}
+				// Compile's bulk build plus Patch's appends (the saved
+				// engine) and restore's bulk build produce one bank.
+				checkBankEqual(t, &got.soa, &eng.soa)
 				for d := 0; d < rule.NumDims; d++ {
 					if cap(got.soa.lo[d])-len(got.soa.lo[d]) < soaPadSlots ||
 						cap(got.soa.hi[d])-len(got.soa.hi[d]) < soaPadSlots {
@@ -237,6 +256,22 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 	_, eng, _ := buildChurned(t, core.HyperCuts, 300, 20, 31)
 	img := snapshotBytes(t, eng)
 
+	wantFormatError := func(t *testing.T, bad []byte, mentions ...string) {
+		t.Helper()
+		e, err := RestoreEngineBytes(bad)
+		var fe *image.FormatError
+		if !errors.As(err, &fe) {
+			t.Fatalf("error %T (%v) is not a *image.FormatError", err, err)
+		}
+		if e != nil {
+			t.Fatal("RestoreEngineBytes returned an engine alongside an error")
+		}
+		for _, m := range mentions {
+			if !strings.Contains(fe.Msg, m) {
+				t.Errorf("error %q does not mention %q", fe.Msg, m)
+			}
+		}
+	}
 	put32 := func(b []byte, off int, v uint32) []byte {
 		binary.LittleEndian.PutUint32(b[off:], v)
 		return b
@@ -246,10 +281,9 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 		sec  uint32
 		fn   func([]byte) []byte
 	}{
-		{"order-not-permutation", secMeta, func(b []byte) []byte { b[24], b[25] = 0, 0; return b }},
-		{"order-dim-out-of-range", secMeta, func(b []byte) []byte { b[24] = 9; return b }},
-		{"sentinel-out-of-range", secMeta, func(b []byte) []byte { return put32(b, 4, 1<<30) }},
-		{"leaf-count-mismatch", secMeta, func(b []byte) []byte { return put32(b, 0, binary.LittleEndian.Uint32(b)+1) }},
+		{"order-not-permutation", secMeta, func(b []byte) []byte { b[metaOrder], b[metaOrder+1] = 0, 0; return b }},
+		{"order-dim-out-of-range", secMeta, func(b []byte) []byte { b[metaOrder] = 9; return b }},
+		{"leaf-count-mismatch", secMeta, func(b []byte) []byte { return put32(b, 16, binary.LittleEndian.Uint32(b[16:])+1) }},
 		{"garbage-counter-overflow", secMeta, func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[8:], 1<<40)
 			return b
@@ -270,31 +304,38 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 		{"leaf-negative-window", secLeaves, func(b []byte) []byte { return put32(b, 0, 0xFFFFFFFF) }},
 		{"rule-id-oob", secRuleIDs, func(b []byte) []byte { return put32(b, 0, 1<<29) }},
 		{"rule-id-negative", secRuleIDs, func(b []byte) []byte { return put32(b, 0, 0xFFFFFFFF) }},
-		{"soa-disagrees-with-rules", secSoALo, func(b []byte) []byte {
-			return put32(b, 0, binary.LittleEndian.Uint32(b)+1)
-		}},
-		{"soa-slack-dirty", secSoAHi, func(b []byte) []byte { b[len(b)-1] = 1; return b }},
-		{"soa-slot-count-mismatch", secSoALo + 1, func(b []byte) []byte { return append(b, 0, 0, 0, 0) }},
 		{"nodes-indivisible-length", secNodes, func(b []byte) []byte { return append(b, 0) }},
 		{"truncated-meta", secMeta, func(b []byte) []byte { return b[:16] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bad := mutateSection(t, img, tc.sec, tc.fn)
-			e, err := RestoreEngineBytes(bad)
-			if err == nil {
-				t.Fatal("forged image restored without error")
-			}
-			var fe *image.FormatError
-			if !errors.As(err, &fe) {
-				t.Fatalf("error %T (%v) is not a *image.FormatError", err, err)
-			}
-			if e != nil {
-				t.Fatal("RestoreEngineBytes returned an engine alongside an error")
-			}
+			wantFormatError(t, mutateSection(t, img, tc.sec, tc.fn))
 		})
 	}
 
+	t.Run("v1-image", func(t *testing.T) {
+		// The version check precedes everything else, so an image whose
+		// only defect is the previous format's version fails on it.
+		bad := bytes.Clone(img)
+		binary.LittleEndian.PutUint16(bad[4:], 1)
+		wantFormatError(t, bad, "version 1", "want 2")
+	})
+	t.Run("seventeen-sections", func(t *testing.T) {
+		// A well-formed v2 container still carrying the previous format's
+		// ten SoA arena sections: rejected by the section count.
+		secs, err := image.ReadBytes(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := uint32(16); len(secs) < 17; id++ {
+			secs = append(secs, image.Section{ID: id, Data: make([]byte, 4*len(eng.ruleIDs))})
+		}
+		var buf bytes.Buffer
+		if _, err := image.Write(&buf, secs); err != nil {
+			t.Fatal(err)
+		}
+		wantFormatError(t, buf.Bytes(), "17 sections, want 7")
+	})
 	t.Run("missing-section", func(t *testing.T) {
 		secs, err := image.ReadBytes(img)
 		if err != nil {
@@ -327,12 +368,13 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 
 // TestRestoredEnginePatches proves a restored engine keeps full
 // live-update capability: patches applied to source and replica stay
-// classify-identical, and the replica's appends can never write into a
-// neighboring arena's image bytes (the dedicated-slack layout).
+// classify-identical, and none of the replica's appends lands in the
+// image buffer its pools alias (they carry no spare capacity, and the
+// bank is the replica's own allocation).
 func TestRestoredEnginePatches(t *testing.T) {
 	tree, eng, live := buildChurned(t, core.HyperCuts, 300, 0, 41)
 	img := snapshotBytes(t, eng)
-	buf := bytes.Clone(img) // the replica's arenas alias buf
+	buf := bytes.Clone(img) // the replica's pools alias buf
 	rep, err := RestoreEngineBytes(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -359,27 +401,8 @@ func TestRestoredEnginePatches(t *testing.T) {
 			t.Fatalf("packet %d: patched replica=%d patched source=%d", i, g, w)
 		}
 	}
-	// The appends above went to fresh allocations or to an arena's own
-	// dedicated slack, never anywhere else in the image the replica
-	// aliases: outside each SoA section's slack, buf is still img.
-	secs, err := image.ReadBytes(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, end := 0, 24+24*len(secs) // header + section table
-	for _, sec := range secs {
-		off := (end + 7) &^ 7 // strict packing: each section starts 8-aligned after its predecessor
-		keep := len(sec.Data)
-		if sec.ID >= secSoALo {
-			keep -= arenaPadLen
-		}
-		if !bytes.Equal(buf[checked:off+keep], img[checked:off+keep]) {
-			t.Fatalf("patching the restored engine wrote outside its arenas' slack (section %d)", sec.ID)
-		}
-		end = off + len(sec.Data)
-		checked = end
-	}
-	if !bytes.Equal(buf[end:], img[end:]) {
-		t.Fatal("patching the restored engine wrote past the last section")
+	checkBankEqual(t, &rep.soa, &eng.soa)
+	if !bytes.Equal(buf, img) {
+		t.Fatal("patching the restored engine wrote into the image buffer")
 	}
 }

@@ -69,7 +69,6 @@ func (e *Engine) PatchBatch(ds []*core.Delta) (*Engine, error) {
 		rules:         e.rules,
 		soa:           e.soa,
 		kern:          e.kern,
-		sentinel:      e.sentinel,
 		deadRuleSlots: e.deadRuleSlots,
 		deadKidSlots:  e.deadKidSlots,
 	}
@@ -183,7 +182,7 @@ func (ne *Engine) applyOne(d *core.Delta, st *patchState) error {
 	// that referenced it is rewritten below, so the entry is unreachable.
 
 	for _, le := range d.LeafEdits {
-		slot := ne.leafSlot(le.Index)
+		slot := int32(le.Index)
 		ref := leafRef{off: int32(len(ne.ruleIDs)), n: int32(len(le.Rules))}
 		ne.ruleIDs = append(ne.ruleIDs, le.Rules...)
 		// The SoA comparator-bank arenas grow in lock-step with the
@@ -212,7 +211,7 @@ func (ne *Engine) applyOne(d *core.Delta, st *patchState) error {
 	// this snapshot on. Accounting reads the entry in place — orphaning
 	// never copies a chunk.
 	for _, oi := range d.Orphaned {
-		slot := ne.leafSlot(oi)
+		slot := int32(oi)
 		if int(slot) >= ne.numLeaves {
 			return fmt.Errorf("engine: patch orphans leaf %d of %d", oi, ne.numLeaves)
 		}
@@ -248,7 +247,7 @@ func (ne *Engine) applyOne(d *core.Delta, st *patchState) error {
 				ne.deadKidSlots += int(nd.kidLen)
 				nd.kidOff = off
 			}
-			leaf := ne.leafSlot(ke.Leaf)
+			leaf := int32(ke.Leaf)
 			if int(leaf) >= ne.numLeaves {
 				return fmt.Errorf("engine: patch points slot at leaf %d of %d", ke.Leaf, ne.numLeaves)
 			}
@@ -256,18 +255,6 @@ func (ne *Engine) applyOne(d *core.Delta, st *patchState) error {
 		}
 	}
 	return nil
-}
-
-// leafSlot translates a core leaf-table index (core.Tree.Leaves()
-// position) into this engine's leaf-table index. They coincide except
-// when Compile inserted an empty-leaf sentinel for nil child slots, which
-// occupies one extra entry; core indices at or past it shift up by one.
-func (e *Engine) leafSlot(coreIdx int) int32 {
-	i := int32(coreIdx)
-	if e.sentinel >= 0 && i >= e.sentinel {
-		i++
-	}
-	return i
 }
 
 // VerifyPatched cross-checks a live-updated image against a fresh

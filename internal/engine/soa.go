@@ -140,6 +140,27 @@ func defaultOrder() [rule.NumDims]uint8 {
 	return o
 }
 
+// build fills a fresh bank from its source of truth: slot i holds the
+// bounds of rule ids[i], for the whole ruleIDs pool at once. Compile and
+// image restore both call it, so the bank is a function of (rules,
+// ruleIDs) by construction. Every arena is allocated with the SIMD
+// over-read slack, so the pad() that follows only resolves pointers.
+// Every id must index rules.
+//
+//repro:arena-writer fills the arenas of a brand-new unpublished engine
+func (b *soaBank) build(rules []flatRule, ids []int32) {
+	for d := 0; d < rule.NumDims; d++ {
+		b.lo[d] = make([]uint32, len(ids), len(ids)+soaPadSlots)
+		b.hi[d] = make([]uint32, len(ids), len(ids)+soaPadSlots)
+	}
+	for i, id := range ids {
+		r := &rules[id]
+		for d := 0; d < rule.NumDims; d++ {
+			b.lo[d][i], b.hi[d][i] = r.lo[d], r.hi[d]
+		}
+	}
+}
+
 // appendRule appends one rule's bounds to the bank (slot order = call
 // order = ruleIDs pool order).
 //
@@ -152,8 +173,8 @@ func (b *soaBank) appendRule(fr *flatRule) {
 }
 
 // appendWindow appends the bounds of each rule in ids, resolving them
-// through the rule table — the SoA mirror of appending ids to the
-// ruleIDs pool.
+// through the rule table — Patch's SoA mirror of appending a rewritten
+// window's ids to the ruleIDs pool.
 //
 //repro:arena-writer appends a rewritten window past the published length (COW append protocol)
 func (b *soaBank) appendWindow(rules []flatRule, ids []int32) {

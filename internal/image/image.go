@@ -45,7 +45,7 @@ const (
 	// writes. Readers reject any other version: sections are aliased
 	// into live engine arenas, so there is no forward-compatible "skip
 	// what you don't know" mode.
-	Version = 1
+	Version = 2
 
 	headerLen = 24
 	entryLen  = 24

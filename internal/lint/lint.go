@@ -24,7 +24,7 @@
 //	    path; may mutate arena fields. Justification is mandatory.
 //	//repro:unsafe-shape <why>
 //	    On a function: a blessed unsafe.Pointer aliasing shape
-//	    (podSlice/arenaSlice/podBytes and kin). Justification is
+//	    (podSlice/podBytes and kin). Justification is
 //	    mandatory.
 //	//repro:allow <analyzer> -- <why>
 //	    On (or on the line above) an offending line: suppress one

@@ -4,7 +4,7 @@ package lint
 // conversion — in either direction, plus unsafe.Slice/Add/String and
 // pointer->uintptr laundering — must sit inside a function annotated
 // //repro:unsafe-shape <why>, i.e. one of the blessed aliasing shapes
-// (podBytes/podSlice/cutSlice/arenaSlice and kin from the image codec,
+// (podBytes/podSlice/cutBytes/cutSlice from the image codec,
 // the SIMD dispatch argument packing, the histogram shard hash).
 // Additionally, a conversion that produces a *T with alignment > 1
 // must have an alignment check in scope (a `% k` guard on a uintptr

@@ -46,18 +46,13 @@ func ReadTrace(r io.Reader) ([]Packet, error) {
 	return trace, nil
 }
 
-// ParseTraceLine parses one line of the trace format. ok is false for
-// blank lines and '#' comments (and the zero Packet is returned); parse
-// failures return an error without line context, which streaming callers
-// wrap with their own position.
-func ParseTraceLine(line string) (p Packet, ok bool, err error) {
-	return ParseTraceLineBytes([]byte(line))
-}
-
-// ParseTraceLineBytes is ParseTraceLine over a byte slice. It performs
-// no allocations on any path (the fields are parsed in place, not
-// split out), so streaming readers can feed it a scanner's reused token
-// buffer and stay allocation-free per packet. The slice is not retained.
+// ParseTraceLineBytes parses one line of the trace format. ok is false
+// for blank lines and '#' comments (and the zero Packet is returned);
+// parse failures return an error without line context, which streaming
+// callers wrap with their own position. It performs no allocations on
+// any path (the fields are parsed in place, not split out), so streaming
+// readers can feed it a scanner's reused token buffer and stay
+// allocation-free per packet. The slice is not retained.
 func ParseTraceLineBytes(line []byte) (p Packet, ok bool, err error) {
 	i, n := 0, len(line)
 	skipSpace := func() {

@@ -85,21 +85,6 @@ func EncodeRecord(b []byte, p rule.Packet, flowID uint32) {
 	binary.LittleEndian.PutUint32(b[16:20], flowID)
 }
 
-// DecodeRecord loads the packet stored in b (at least RecordBytes long).
-// Pad bytes and flowID are ignored: every 20-byte slice decodes to some
-// packet, so corrupt payload bytes yield wrong answers, never panics —
-// framing errors are caught at the frame-header level.
-func DecodeRecord(b []byte) rule.Packet {
-	_ = b[RecordBytes-1]
-	return rule.Packet{
-		SrcIP:   binary.LittleEndian.Uint32(b[0:4]),
-		DstIP:   binary.LittleEndian.Uint32(b[4:8]),
-		SrcPort: binary.LittleEndian.Uint16(b[8:10]),
-		DstPort: binary.LittleEndian.Uint16(b[10:12]),
-		Proto:   b[12],
-	}
-}
-
 // BatchReader is the pull interface the ingest pipeline consumes:
 // ReadBatch fills pkts with up to len(pkts) packets and returns how many
 // it decoded. It returns (n, nil) with n > 0 mid-stream, (n, io.EOF)

@@ -385,9 +385,10 @@ func (a *Accelerator) hardware() (*core.Tree, error) {
 	return t, err
 }
 
-// SaveImage serializes the current epoch's engine — the flat arenas, the
-// SoA comparator mirrors and the kernel-independent metadata — into the
-// versioned, checksummed image format of internal/image, written to w.
+// SaveImage serializes the current epoch's engine — the search structure:
+// flat arenas, leaf table, rule-ID pool, rule table and metadata; the
+// comparator bank is re-derived on restore — into the versioned,
+// checksummed image format of internal/image, written to w.
 // The blob is everything BuildAccelerator needs, via Config.RestorePath,
 // to publish a serving epoch without rebuilding (see DESIGN.md §13); a
 // restored replica then catches up by replaying the same delta stream
