@@ -31,6 +31,10 @@
 //	pcsim -profile acl1 -n 10000 -save acl1.pcei
 //	pcsim -profile acl1 -n 10000 -restore acl1.pcei
 //
+// -cache N puts an N-entry flow cache in front of the host engine and
+// prints its hit ratio, the packets its admission policy bypassed and the
+// mode it ended in (a synthetic -trace is scatter traffic: "bypass").
+//
 // Everything goes through the public facade (package repro), so what
 // pcsim prints is what a library user gets.
 package main
@@ -67,20 +71,21 @@ func main() {
 		hold      = flag.Duration("hold", 0, "keep serving telemetry this long after the run (requires -telemetry)")
 		savePath  = flag.String("save", "", "write the serving engine image to this file after the run")
 		restore   = flag.String("restore", "", "boot the host engine from an engine image; the search structure is rebuilt in the background")
+		cache     = flag.Int("cache", 0, "flow-cache entries in front of the host engine (0 = no cache)")
 	)
 	flag.Parse()
 
-	if err := run(*rulesFile, *traceFile, *profile, *n, *traceN, *seed, *algo, *device, *speed, *spfac, *binth, *telemAddr, *hold, *savePath, *restore); err != nil {
+	if err := run(*rulesFile, *traceFile, *profile, *n, *traceN, *seed, *algo, *device, *speed, *spfac, *binth, *telemAddr, *hold, *savePath, *restore, *cache); err != nil {
 		fmt.Fprintln(os.Stderr, "pcsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(rulesFile, traceFile, profile string, n, traceN int, seed int64, algo, device string, speed, spfac, binth int, telemAddr string, hold time.Duration, savePath, restorePath string) error {
+func run(rulesFile, traceFile, profile string, n, traceN int, seed int64, algo, device string, speed, spfac, binth int, telemAddr string, hold time.Duration, savePath, restorePath string, cache int) error {
 	if hold > 0 && telemAddr == "" {
 		return errors.New("-hold keeps the telemetry server up and needs -telemetry")
 	}
-	cfg := repro.Config{Binth: binth, Spfac: spfac, TelemetryAddr: telemAddr, RestorePath: restorePath}
+	cfg := repro.Config{Binth: binth, Spfac: spfac, TelemetryAddr: telemAddr, RestorePath: restorePath, CacheSize: cache}
 	switch algo {
 	case "hicuts":
 		cfg.Algorithm = repro.HiCuts
@@ -149,11 +154,16 @@ func run(rulesFile, traceFile, profile string, n, traceN int, seed int64, algo, 
 		fmt.Printf("telemetry: http://%s/metrics /debug/events /debug/pprof/\n", addr)
 	}
 
-	// Software fast path first: one timed pass, which under -restore
-	// runs on the restored image without waiting for the rebuild.
+	// Software fast path first: one timed pass in ingest-sized batches
+	// (the flow cache re-decides its admission mode between batches),
+	// which under -restore runs on the restored image without waiting
+	// for the rebuild.
 	host := make([]int32, len(trace))
 	t0 := time.Now()
-	acc.ClassifyBatch(trace, host)
+	for off := 0; off < len(trace); off += repro.StreamBatch {
+		end := min(off+repro.StreamBatch, len(trace))
+		acc.ClassifyBatch(trace[off:end], host[off:end])
+	}
 	hostPPS := float64(len(trace)) / time.Since(t0).Seconds()
 
 	// The device model; these wait for a restore's rebuild.
@@ -196,6 +206,14 @@ func run(rulesFile, traceFile, profile string, n, traceN int, seed int64, algo, 
 	}
 	fmt.Printf("host engine (%d bytes flat): %.0f pps single-core, one pass (%s)\n",
 		acc.SoftwareEngine().MemoryBytes(), hostPPS, energy.HighestLine(hostPPS))
+	if cache > 0 {
+		cs, mode := acc.CacheStats(), "normal"
+		if cs.Bypassing {
+			mode = "bypass"
+		}
+		fmt.Printf("flow cache (%d entries): hit ratio %.3f of %d probed, %d bypassed, admission mode %s\n",
+			cs.Capacity, cs.HitRate(), cs.Hits+cs.Misses, cs.Bypassed, mode)
+	}
 	if hold > 0 {
 		fmt.Printf("telemetry: holding for %s\n", hold)
 		time.Sleep(hold)

@@ -21,7 +21,7 @@ func TestRunSyntheticEndToEnd(t *testing.T) {
 		if i == 0 {
 			telem = "127.0.0.1:0"
 		}
-		if err := run("", "", "acl1", 300, 2000, 7, "hypercuts", device, 1, 4, 120, telem, 0, "", ""); err != nil {
+		if err := run("", "", "acl1", 300, 2000, 7, "hypercuts", device, 1, 4, 120, telem, 0, "", "", 512); err != nil {
 			t.Fatalf("%s: %v", device, err)
 		}
 	}
@@ -52,25 +52,25 @@ func TestRunFromFiles(t *testing.T) {
 	}
 	tf.Close()
 
-	if err := run(rulesPath, tracePath, "", 0, 0, 0, "hicuts", "asic", 0, 4, 120, "", 0, "", ""); err != nil {
+	if err := run(rulesPath, tracePath, "", 0, 0, 0, "hicuts", "asic", 0, 4, 120, "", 0, "", "", 0); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run("", "", "acl1", 50, 100, 1, "bogus", "asic", 1, 4, 120, "", 0, "", ""); err == nil {
+	if err := run("", "", "acl1", 50, 100, 1, "bogus", "asic", 1, 4, 120, "", 0, "", "", 0); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := run("", "", "acl1", 50, 100, 1, "hicuts", "bogus", 1, 4, 120, "", 0, "", ""); err == nil {
+	if err := run("", "", "acl1", 50, 100, 1, "hicuts", "bogus", 1, 4, 120, "", 0, "", "", 0); err == nil {
 		t.Error("unknown device accepted")
 	}
-	if err := run("/does/not/exist", "", "", 0, 0, 0, "hicuts", "asic", 1, 4, 120, "", 0, "", ""); err == nil {
+	if err := run("/does/not/exist", "", "", 0, 0, 0, "hicuts", "asic", 1, 4, 120, "", 0, "", "", 0); err == nil {
 		t.Error("missing rules file accepted")
 	}
-	if err := run("", "", "acl1", 50, 100, 1, "hicuts", "asic", 2, 4, 120, "", 0, "", ""); err == nil {
+	if err := run("", "", "acl1", 50, 100, 1, "hicuts", "asic", 2, 4, 120, "", 0, "", "", 0); err == nil {
 		t.Error("-speed 2 accepted")
 	}
-	if err := run("", "", "acl1", 50, 100, 1, "hicuts", "asic", 1, 4, 120, "", time.Second, "", ""); err == nil {
+	if err := run("", "", "acl1", 50, 100, 1, "hicuts", "asic", 1, 4, 120, "", time.Second, "", "", 0); err == nil {
 		t.Error("-hold without -telemetry accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestRunSaveRestoreRoundTrip(t *testing.T) {
 	imgPath := filepath.Join(dir, "acl1.pcei")
 
 	// -save writes the compiled engine image alongside a normal run.
-	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, imgPath, ""); err != nil {
+	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, imgPath, "", 0); err != nil {
 		t.Fatalf("save run: %v", err)
 	}
 	if fi, err := os.Stat(imgPath); err != nil || fi.Size() == 0 {
@@ -91,7 +91,7 @@ func TestRunSaveRestoreRoundTrip(t *testing.T) {
 	// background rebuild lands, and honours -save: with no churn in
 	// between, the re-saved image is the file it booted from.
 	resaved := filepath.Join(dir, "resaved.pcei")
-	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, resaved, imgPath); err != nil {
+	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, resaved, imgPath, 0); err != nil {
 		t.Fatalf("restore run: %v", err)
 	}
 	data, err := os.ReadFile(imgPath)
@@ -108,10 +108,10 @@ func TestRunSaveRestoreRoundTrip(t *testing.T) {
 	if err := os.WriteFile(badPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, "", badPath); err == nil {
+	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, "", badPath, 0); err == nil {
 		t.Error("corrupt image accepted")
 	}
-	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, "", filepath.Join(dir, "missing.pcei")); err == nil {
+	if err := run("", "", "acl1", 300, 1000, 7, "hypercuts", "asic", 1, 4, 120, "", 0, "", filepath.Join(dir, "missing.pcei"), 0); err == nil {
 		t.Error("missing image accepted")
 	}
 }
@@ -146,7 +146,7 @@ func TestRunAutoDetectsBinaryAndPcapTraces(t *testing.T) {
 		"binary": write("trace.bin", wire.WriteTrace),
 		"pcap":   write("trace.pcap", wire.WritePcap),
 	} {
-		if err := run(rulesPath, path, "", 0, 0, 0, "hypercuts", "asic", 1, 4, 120, "", 0, "", ""); err != nil {
+		if err := run(rulesPath, path, "", 0, 0, 0, "hypercuts", "asic", 1, 4, 120, "", 0, "", "", 0); err != nil {
 			t.Fatalf("%s trace: %v", name, err)
 		}
 	}

@@ -26,8 +26,10 @@ func TestAcceleratorFlowCacheExactUnderUpdates(t *testing.T) {
 	full := append(RuleSet{}, rs...)
 	trace := GenerateFlowTrace(rs, 3000, 256, 8, 92)
 
+	presented := uint64(0)
 	check := func(stage string) {
 		t.Helper()
+		presented += 3 * uint64(len(trace))
 		// Twice: the first pass populates, the second must hit and still
 		// be exact.
 		for pass := 0; pass < 2; pass++ {
@@ -73,6 +75,13 @@ func TestAcceleratorFlowCacheExactUnderUpdates(t *testing.T) {
 	}
 	if st.Capacity < 4096 {
 		t.Errorf("capacity %d < configured 4096", st.Capacity)
+	}
+	// One conservation law over both paths: the single-packet Classify
+	// (always probed: its miss is a device-model walk, far above any
+	// break-even) and the batch path under the admission policy.
+	if got := st.Hits + st.Misses + st.Bypassed; got != presented || st.Inserts != st.Misses {
+		t.Errorf("hits+misses+bypassed = %d for %d packets presented, inserts %d vs misses %d: %+v",
+			got, presented, st.Inserts, st.Misses, st)
 	}
 	acc.WaitMaintenance()
 }

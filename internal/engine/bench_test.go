@@ -104,7 +104,7 @@ func BenchmarkClassifyBatchACL10k(b *testing.B) {
 	}{{"aos", eng.ClassifyBatchAoS}}
 	// One soa row per available scan kernel (kernel=portable plus the
 	// CPU's native kernel), so the SIMD end-to-end win is visible.
-	for _, k := range Kernels() {
+	for _, k := range kernels() {
 		ke, err := eng.WithKernel(k)
 		if err != nil {
 			b.Fatal(err)
@@ -205,7 +205,7 @@ func BenchmarkLeafScan(b *testing.B) {
 		// One soa row per scan kernel: the ≥1.5x acceptance bar of the
 		// SIMD backend is kernel=avx2 (or neon) over kernel=portable on
 		// the 64- and 128-slot buckets.
-		for _, k := range Kernels() {
+		for _, k := range kernels() {
 			ke, err := eng.WithKernel(k)
 			if err != nil {
 				b.Fatal(err)

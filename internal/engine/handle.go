@@ -108,7 +108,7 @@ func (h *Handle) ClassifyBatchCached(pkts []rule.Packet, out []int32) {
 			s.eng.ClassifyBatch(pkts, out)
 			return
 		}
-		classifyCachedRange(s, c, pkts, out)
+		classifyCachedRange(s, c, tel, pkts, out)
 		return
 	}
 	// Telemetry cost is per batch, never per packet: two monotonic
@@ -118,7 +118,7 @@ func (h *Handle) ClassifyBatchCached(pkts []rule.Packet, out []int32) {
 	if c == nil {
 		s.eng.ClassifyBatch(pkts, out)
 	} else {
-		classifyCachedRange(s, c, pkts, out)
+		classifyCachedRange(s, c, tel, pkts, out)
 	}
 	//repro:allow hotpath -- documented per-batch site: paired clock read for the batch latency observe
 	tel.ClassifyNs.Observe(int64(time.Since(start)))
@@ -126,12 +126,21 @@ func (h *Handle) ClassifyBatchCached(pkts []rule.Packet, out []int32) {
 	tel.Batches.Inc()
 }
 
-func classifyCachedRange(s *Snapshot, c *flowcache.Cache, pkts []rule.Packet, out []int32) {
-	hits := uint64(c.ProbeBatch(pkts, s.epoch, out))
-	misses := uint64(len(pkts)) - hits
-	if misses != 0 {
+// classifyCachedRange answers pkts through the cache under its admission
+// policy (flowcache.LookupBatch): hits are already in out; a packet the
+// policy kept away from the cache is answered by the engine alone; a
+// miss is re-probed, walked and inserted.
+func classifyCachedRange(s *Snapshot, c *flowcache.Cache, tel *telemetry.Recorder, pkts []rule.Packet, out []int32) {
+	hits := uint64(c.LookupBatch(pkts, s.epoch, out))
+	var misses, bypassed uint64
+	if hits != uint64(len(pkts)) {
 		for i := range pkts {
-			if out[i] != flowcache.NoEntry {
+			if out[i] > flowcache.NoEntry {
+				continue // a cached answer: both sentinels sort below every rule ID
+			}
+			if out[i] == flowcache.NotProbed {
+				out[i] = int32(s.eng.Classify(pkts[i]))
+				bypassed++
 				continue
 			}
 			// Re-probe before walking: an earlier miss in this pass may
@@ -142,17 +151,31 @@ func classifyCachedRange(s *Snapshot, c *flowcache.Cache, pkts []rule.Packet, ou
 			if rid, ok := c.Probe(pkts[i], s.epoch); ok {
 				out[i] = rid
 				hits++
-				misses--
 				continue
 			}
 			rid := int32(s.eng.Classify(pkts[i]))
 			c.Insert(pkts[i], s.epoch, rid)
 			out[i] = rid
+			misses++
 		}
 	}
 	// One counter flush per batch keeps the hit path free of
-	// read-modify-writes.
-	c.NoteLookups(hits, misses)
+	// read-modify-writes; it is also where the admission mode is
+	// re-decided.
+	if flipped, bypassing, winHits, winProbed := c.NoteLookups(hits, misses, bypassed); flipped && tel != nil {
+		recordCacheMode(tel, s.epoch, bypassing, winHits, winProbed)
+	}
+}
+
+// recordCacheMode puts an admission-mode flip in the flight recorder.
+//
+//repro:coldpath a flip happens at most once per admission window (thousands of lookups), never per packet
+func recordCacheMode(tel *telemetry.Recorder, epoch uint64, bypassing bool, winHits, winProbed uint64) {
+	mode := int64(0)
+	if bypassing {
+		mode = 1
+	}
+	tel.Events.Record(telemetry.EvCacheMode, epoch, mode, int64(winHits), int64(winProbed))
 }
 
 // ParallelClassifyCached shards the batch across up to workers goroutines
@@ -164,16 +187,16 @@ func (h *Handle) ParallelClassifyCached(pkts []rule.Packet, out []int32, workers
 	c := h.cache.Load()
 	if tel := h.tel.Load(); tel != nil {
 		start := time.Now()
-		parallelClassifyCached(s, c, pkts, out, workers)
+		parallelClassifyCached(s, c, tel, pkts, out, workers)
 		tel.ClassifyNs.Observe(int64(time.Since(start)))
 		tel.Packets.Add(uint64(len(pkts)))
 		tel.Batches.Inc()
 		return
 	}
-	parallelClassifyCached(s, c, pkts, out, workers)
+	parallelClassifyCached(s, c, nil, pkts, out, workers)
 }
 
-func parallelClassifyCached(s *Snapshot, c *flowcache.Cache, pkts []rule.Packet, out []int32, workers int) {
+func parallelClassifyCached(s *Snapshot, c *flowcache.Cache, tel *telemetry.Recorder, pkts []rule.Packet, out []int32, workers int) {
 	if c == nil {
 		s.eng.ParallelClassify(pkts, out, workers)
 		return
@@ -185,7 +208,7 @@ func parallelClassifyCached(s *Snapshot, c *flowcache.Cache, pkts []rule.Packet,
 		workers = len(pkts)
 	}
 	if workers <= 1 {
-		classifyCachedRange(s, c, pkts, out)
+		classifyCachedRange(s, c, tel, pkts, out)
 		return
 	}
 	_ = out[:len(pkts)]
@@ -196,7 +219,7 @@ func parallelClassifyCached(s *Snapshot, c *flowcache.Cache, pkts []rule.Packet,
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			classifyCachedRange(s, c, pkts[lo:hi], out[lo:hi])
+			classifyCachedRange(s, c, tel, pkts[lo:hi], out[lo:hi])
 		}(start, end)
 	}
 	wg.Wait()

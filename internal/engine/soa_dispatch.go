@@ -114,16 +114,6 @@ func kernName(k uint8) string {
 	return KernelPortable
 }
 
-// Kernels returns the scan kernels available on this CPU and build,
-// portable first. The benchmarks iterate it to land one row per kernel.
-func Kernels() []string {
-	ks := []string{KernelPortable}
-	if nativeKernelOK {
-		ks = append(ks, nativeKernelName)
-	}
-	return ks
-}
-
 // DefaultKernel returns the kernel Compile stamps into new engines.
 func DefaultKernel() string { return kernName(defaultKern) }
 

@@ -70,4 +70,28 @@ func TestTelemetryZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("instrumented cached ClassifyBatchCached: %.2f allocs/op, want 0", avg)
 	}
+	// The same path with the cache's admission policy in bypass mode:
+	// distinct 5-tuples until it flips (one window, 4 x capacity
+	// lookups), then a batch whose followers go straight to the engine.
+	scatter, n := make([]rule.Packet, len(trace)), uint32(0)
+	classifyFresh := func() {
+		for i := range scatter {
+			n++
+			scatter[i] = rule.Packet{SrcIP: n * 2654435761, DstIP: ^n, SrcPort: uint16(n), Proto: 6}
+		}
+		h.ClassifyBatchCached(scatter, out)
+	}
+	for !h.Cache().Stats().Bypassing {
+		if n > 8*8192 {
+			t.Fatal("two windows of scatter traffic did not put the cache in bypass mode")
+		}
+		classifyFresh()
+	}
+	before := h.Cache().Stats().Bypassed
+	if avg := testing.AllocsPerRun(50, classifyFresh); avg != 0 {
+		t.Errorf("instrumented cached ClassifyBatchCached in bypass mode: %.2f allocs/op, want 0", avg)
+	}
+	if st := h.Cache().Stats(); !st.Bypassing || st.Bypassed == before {
+		t.Errorf("the measured batches were not bypassed: %+v", st)
+	}
 }

@@ -31,6 +31,11 @@
 // split into power-of-two shards so concurrent writers rarely contend.
 // All storage is allocated at construction; Probe and Insert allocate
 // nothing.
+//
+// Admission is by set dueling: while recent traffic shows no locality,
+// most sets are neither probed nor filled (see leaderStride). The mode
+// only selects which packets consult the cache; a hit is still an exact
+// same-epoch entry, so correctness does not depend on it.
 package flowcache
 
 import (
@@ -49,6 +54,33 @@ const setWays = 4
 // maxShards bounds the shard count; 64 uncontended write locks
 // comfortably cover any realistic GOMAXPROCS fan-out.
 const maxShards = 64
+
+// Set-dueling admission (Qureshi et al., ISCA 2007): no knob, no
+// per-flow state. One set in leaderStride — those whose index has its low
+// bits clear, so every shard holds some — is a leader and always runs the
+// full protocol; the rest follow one cache-wide mode bit, and in bypass
+// mode a packet that hashes to a follower touches no cache line. A cache
+// with fewer than leaderStride sets is all leaders and never bypasses.
+// The mode is re-decided at the per-batch counter flush from the hit
+// ratio of the lookups that were probed: all of them in normal mode, the
+// leaders' in bypass mode, which see the per-set pressure the whole cache
+// would.
+//
+// The thresholds straddle the break-even hit ratio h* at which a probed
+// packet (hit: P; miss: P + re-probe R + walk E + insert I) costs what a
+// bypassed one does (E): h* = 1 - (E-P)/(E+R+I), about 0.59 with the
+// benchmark's per-layer figures (DESIGN.md §7). The window is
+// windowPerCap times the capacity in probed lookups — the leaders' share
+// of that in bypass mode — so the misses of one invalidation wave (every
+// entry stale at once after an epoch bump: at most one per entry) or of
+// a cold start fill a quarter of a window and cannot trip bypass alone.
+const (
+	leaderStride = 32
+	bypassBelow  = 8  // enter bypass under 8/16 = 0.50 hits per probed lookup
+	resumeAbove  = 11 // leave it over 11/16 = 0.69
+	ratioDenom   = 16
+	windowPerCap = 4
+)
 
 // Field packing. The 104-bit 5-tuple splits into the 64-bit address key
 // (w0) and the 40-bit port/proto key, which shares w1 with a 24-bit
@@ -116,10 +148,19 @@ type Cache struct {
 
 	// hits/misses live on the Cache, not the shards: the lock-free hit
 	// path must not pay a read-modify-write per packet, so batch callers
-	// use Probe and flush their local tallies here via NoteLookups once
-	// per batch; only the convenience Lookup counts per call.
+	// use LookupBatch and flush their local tallies here via NoteLookups
+	// once per batch; only the convenience Lookup counts per call.
 	hits   atomic.Uint64
 	misses atomic.Uint64
+
+	// Admission state. followerMask is leaderStride-1, or 0 when every
+	// set is a leader. win packs the open window's probed lookups (high 32
+	// bits) and hits (low 32): one Add flushes a batch, one CompareAndSwap
+	// closes the window on an exact pair.
+	followerMask uint32
+	bypass       atomic.Bool
+	win          atomic.Uint64
+	bypassed     atomic.Uint64
 }
 
 // Stats is a point-in-time aggregate of the cache counters.
@@ -130,6 +171,11 @@ type Stats struct {
 	// slot, different flow, torn racing write, or stale epoch — stale
 	// ones are also counted in StaleEvictions).
 	Misses uint64
+	// Bypassed counts packets answered by the engine without a probe or
+	// an insert (follower sets in bypass mode), so Hits + Misses +
+	// Bypassed is every packet presented. Bypassing is the current mode.
+	Bypassed  uint64
+	Bypassing bool
 	// StaleEvictions counts entries dropped because a lookup or insert
 	// touched them with a newer epoch: the invalidation signal of the
 	// update pipeline doing its job.
@@ -189,6 +235,9 @@ func New(entries int) *Cache {
 		shardSh:  uint32(bits.TrailingZeros(uint(setsPerShard))),
 		shards:   make([]shard, nShards),
 	}
+	if totalSets >= leaderStride {
+		c.followerMask = leaderStride - 1
+	}
 	return c
 }
 
@@ -224,8 +273,10 @@ func (c *Cache) setIndex(k0, k1 uint64) uint32 {
 }
 
 // Lookup is Probe plus hit/miss accounting: use it for one-off lookups.
-// Batch loops should call Probe and flush one NoteLookups per batch, so
-// the hit path stays free of read-modify-writes.
+// Like Probe it ignores the admission mode and feeds no window: it is
+// for callers whose miss costs far more than an engine walk. Batch loops
+// should call LookupBatch and flush one NoteLookups per batch, so the hit
+// path stays free of read-modify-writes.
 func (c *Cache) Lookup(p rule.Packet, epoch uint64) (int32, bool) {
 	rid, ok := c.Probe(p, epoch)
 	if ok {
@@ -236,15 +287,42 @@ func (c *Cache) Lookup(p rule.Packet, epoch uint64) (int32, bool) {
 	return rid, ok
 }
 
-// NoteLookups adds a batch's locally tallied hit/miss counts to the
-// cache statistics (see Probe).
-func (c *Cache) NoteLookups(hits, misses uint64) {
+// NoteLookups adds one LookupBatch's locally tallied outcomes to the
+// cache statistics and to the admission window, and closes the window
+// when it is full: flipped reports that this call changed the mode, to
+// bypassing, on a window of hits out of probed lookups (all zero
+// otherwise). The hit path pays nothing for the policy: this is the one
+// read-modify-write per batch the counters already cost.
+func (c *Cache) NoteLookups(hits, misses, bypassed uint64) (flipped, bypassing bool, winHits, winProbed uint64) {
 	if hits != 0 {
 		c.hits.Add(hits)
 	}
 	if misses != 0 {
 		c.misses.Add(misses)
 	}
+	if bypassed != 0 {
+		c.bypassed.Add(bypassed)
+	}
+	if c.followerMask == 0 || hits+misses == 0 {
+		return
+	}
+	// (A 2^32-packet batch would carry hits into the probed half; no host
+	// this cache is sized for holds such a slice.)
+	w := c.win.Add((hits+misses)<<32 | hits)
+	on := c.bypass.Load()
+	need, limit := windowPerCap*setWays*uint64(len(c.sets)), uint64(bypassBelow)
+	if on {
+		need, limit = need/leaderStride, resumeAbove
+	}
+	if w>>32 < need || !c.win.CompareAndSwap(w, 0) {
+		return // window still open, or a racing flush extended it and will close it
+	}
+	winHits, winProbed = w&(1<<32-1), w>>32
+	if bypassing = winHits*ratioDenom < winProbed*limit; bypassing == on {
+		return false, false, 0, 0
+	}
+	c.bypass.Store(bypassing)
+	return true, bypassing, winHits, winProbed
 }
 
 // Probe returns the cached rule ID for p if an entry exists for exactly
@@ -321,6 +399,42 @@ func (c *Cache) ProbeBatch(pkts []rule.Packet, epoch uint64, out []int32) int {
 	for i := range pkts {
 		k0, k1 := packKey(pkts[i])
 		if rid, ok := c.probeSet(c.setIndex(k0, k1), k0, k1, ep1); ok {
+			out[i] = rid
+			hits++
+		} else {
+			out[i] = NoEntry
+		}
+	}
+	return hits
+}
+
+// NotProbed is the sentinel LookupBatch writes for packets the admission
+// policy kept away from the cache: the caller classifies them and does
+// not insert. Both sentinels sort below every cacheable answer (>= -1),
+// so out[i] > NoEntry is the one-compare test for "answered".
+const NotProbed int32 = -3
+
+// LookupBatch is ProbeBatch under the admission policy. In normal mode
+// it is exactly ProbeBatch (one extra atomic load per batch); in bypass
+// mode only packets that hash to a leader set are probed and the rest
+// get NotProbed without touching a cache line. It returns the number of
+// hits; the caller tallies NoEntry and NotProbed and flushes all three
+// through NoteLookups. out must be at least as long as pkts.
+//
+//repro:hotpath
+func (c *Cache) LookupBatch(pkts []rule.Packet, epoch uint64, out []int32) int {
+	if !c.bypass.Load() {
+		return c.ProbeBatch(pkts, epoch, out)
+	}
+	_ = out[:len(pkts)]
+	ep1, followers := (epoch+1)<<ridBits, c.followerMask
+	hits := 0
+	for i := range pkts {
+		k0, k1 := packKey(pkts[i])
+		si := c.setIndex(k0, k1)
+		if si&followers != 0 {
+			out[i] = NotProbed
+		} else if rid, ok := c.probeSet(si, k0, k1, ep1); ok {
 			out[i] = rid
 			hits++
 		} else {
@@ -423,6 +537,8 @@ func (c *Cache) Stats() Stats {
 	s.Shards = len(c.shards)
 	s.Hits = c.hits.Load()
 	s.Misses = c.misses.Load()
+	s.Bypassed = c.bypassed.Load()
+	s.Bypassing = c.bypass.Load()
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -435,33 +551,3 @@ func (c *Cache) Stats() Stats {
 	s.Capacity = len(c.sets) * setWays
 	return s
 }
-
-// Reset drops every entry and zeroes the counters. Concurrent lookups
-// simply miss and repopulate.
-func (c *Cache) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		lo := i << c.shardSh
-		hi := lo + 1<<c.shardSh
-		for j := lo; j < hi; j++ {
-			for w := 0; w < setWays; w++ {
-				e := &c.sets[j][w]
-				seq := e.w1.Load() &^ uint64(key1Mask)
-				e.w1.Store(seq + seqOddBit)
-				e.w0.Store(0)
-				e.w2.Store(0)
-				e.w1.Store(seq + 2*seqOddBit)
-			}
-		}
-		sh.stale, sh.inserts, sh.evicts = 0, 0, 0
-		sh.occupied = 0
-		sh.victim = 0
-		sh.mu.Unlock()
-	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
-
-// Cap returns the fixed total entry capacity.
-func (c *Cache) Cap() int { return len(c.sets) * setWays }

@@ -93,7 +93,7 @@ func TestInsertRefreshes(t *testing.T) {
 // recently inserted flows must still be retrievable.
 func TestSetEviction(t *testing.T) {
 	c := New(64) // tiny: single shard, 16 sets x 4 ways
-	capacity := c.Cap()
+	capacity := c.Stats().Capacity
 	n := capacity * 8
 	for i := 0; i < n; i++ {
 		c.Insert(pkt(uint32(i)), 1, int32(i))
@@ -115,21 +115,6 @@ func TestSetEviction(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	c := New(256)
-	for i := 0; i < 100; i++ {
-		c.Insert(pkt(uint32(i)), 1, int32(i))
-	}
-	c.Reset()
-	s := c.Stats()
-	if s.Occupied != 0 || s.Inserts != 0 || s.Hits != 0 {
-		t.Fatalf("stats after Reset: %+v", s)
-	}
-	if _, ok := c.Lookup(pkt(1), 1); ok {
-		t.Fatal("hit after Reset")
-	}
-}
-
 func TestZeroAllocHotPath(t *testing.T) {
 	c := New(4096)
 	p := pkt(9)
@@ -147,14 +132,14 @@ func TestZeroAllocHotPath(t *testing.T) {
 }
 
 func TestSizingDefaultsAndRounding(t *testing.T) {
-	if got := New(0).Cap(); got < DefaultEntries {
-		t.Errorf("New(0).Cap() = %d, want >= %d", got, DefaultEntries)
+	if got := New(0).Stats().Capacity; got < DefaultEntries {
+		t.Errorf("New(0).Stats().Capacity = %d, want >= %d", got, DefaultEntries)
 	}
-	if got := New(1000).Cap(); got < 1000 {
-		t.Errorf("New(1000).Cap() = %d, want >= 1000", got)
+	if got := New(1000).Stats().Capacity; got < 1000 {
+		t.Errorf("New(1000).Stats().Capacity = %d, want >= 1000", got)
 	}
-	if got := New(1).Cap(); got < setWays {
-		t.Errorf("New(1).Cap() = %d, want >= %d", got, setWays)
+	if got := New(1).Stats().Capacity; got < setWays {
+		t.Errorf("New(1).Stats().Capacity = %d, want >= %d", got, setWays)
 	}
 }
 

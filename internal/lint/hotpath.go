@@ -37,7 +37,7 @@ var requiredHotRoots = map[string][]string{
 		"Engine.Classify", "Engine.ClassifyBatch", "Engine.scanLeaf",
 		"soaBank.scanSIMD", "Handle.ClassifyBatchCached",
 	},
-	"repro/internal/flowcache": {"Cache.Probe", "Cache.ProbeBatch", "Cache.Insert"},
+	"repro/internal/flowcache": {"Cache.Probe", "Cache.ProbeBatch", "Cache.LookupBatch", "Cache.Insert"},
 	"repro/internal/wire":      {"Reader.ReadBatch"},
 	"repro/internal/stream":    {"appendIDs"},
 	// Test fixture for the required-roots rule itself.

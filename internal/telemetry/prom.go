@@ -71,10 +71,12 @@ func (r *Recorder) families() []family {
 		// scrape time. A family no collector emits has no sample line.
 		{"repro_cache_hits_total", "counter", "Flow-cache lookups answered from the cache at the caller's epoch.", nil},
 		{"repro_cache_misses_total", "counter", "Flow-cache lookups that fell through to the tree walk.", nil},
+		{"repro_cache_bypassed_total", "counter", "Packets the flow cache's admission policy answered from the engine without a probe or an insert.", nil},
 		{"repro_cache_stale_evictions_total", "counter", "Flow-cache entries dropped because a newer epoch touched them.", nil},
 		{"repro_cache_evictions_total", "counter", "Live same-epoch flow-cache entries displaced by an insert into a full set.", nil},
 		{"repro_cache_inserts_total", "counter", "Flow-cache repopulations after a miss.", nil},
 		{"repro_cache_live_entries", "gauge", "Live flow-cache entries at scrape time.", nil},
+		{"repro_cache_bypass_active", "gauge", "1 while the flow cache's follower sets are bypassed (recent hit ratio under break-even), else 0.", nil},
 		{"repro_tree_degradation", "gauge", "Tree degradation at scrape time (overgrown or orphaned leaf-table fraction).", nil},
 		{"repro_tree_orphan_leaves", "gauge", "Leaves that lost their last reference to incremental updates and await relayout.", nil},
 		{"repro_tree_words", "gauge", "4800-bit memory words the search structure uses.", nil},

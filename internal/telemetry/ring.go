@@ -50,6 +50,11 @@ const (
 	// config) could not be satisfied and the process degraded to the
 	// probed default. V1 = V2 = V3 = 0; the reason is logged once.
 	EvKernelFallback
+	// EvCacheMode: the flow cache's admission policy changed mode at a
+	// window boundary. V1 = 1 entering bypass (follower sets no longer
+	// probed or filled), 0 resuming; V2 = hits and V3 = probed lookups of
+	// the window that decided it.
+	EvCacheMode
 )
 
 // String names the kind for exposition.
@@ -77,6 +82,8 @@ func (k EventKind) String() string {
 		return "device_write"
 	case EvKernelFallback:
 		return "kernel_fallback"
+	case EvCacheMode:
+		return "cache_mode"
 	}
 	return "unknown"
 }

@@ -184,6 +184,7 @@ func TestEventKindStrings(t *testing.T) {
 		EvBuild, EvDeltaApply, EvPatchBatch, EvEpochPublish,
 		EvDegradationTrip, EvRecompileStart, EvRecompileDone,
 		EvCacheInvalidate, EvPatchFail, EvDeviceWrite, EvKernelFallback,
+		EvCacheMode,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {

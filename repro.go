@@ -133,7 +133,10 @@ type Config struct {
 	// walk. Entries are stamped with the update epoch, so results stay
 	// packet-exact under live Insert/Delete — every update invalidates
 	// by epoch, and stale entries fall through to the tree and
-	// repopulate. 0 disables caching.
+	// repopulate. While batch and stream traffic shows no flow locality
+	// the cache bypasses itself, so a packet costs the tree walk and
+	// nothing on top, and resumes when flows return (CacheStats.Bypassed,
+	// DESIGN.md §7). 0 disables caching.
 	CacheSize int
 	// RestorePath, when non-empty, boots the accelerator from a
 	// serialized engine image (Accelerator.SaveImage) instead of waiting
@@ -407,10 +410,16 @@ func (a *Accelerator) collectScrape(emit func(name string, value float64)) {
 		st := c.Stats()
 		emit("repro_cache_hits_total", float64(st.Hits))
 		emit("repro_cache_misses_total", float64(st.Misses))
+		emit("repro_cache_bypassed_total", float64(st.Bypassed))
 		emit("repro_cache_stale_evictions_total", float64(st.StaleEvictions))
 		emit("repro_cache_evictions_total", float64(st.Evictions))
 		emit("repro_cache_inserts_total", float64(st.Inserts))
 		emit("repro_cache_live_entries", float64(st.Occupied))
+		bypassing := 0.0
+		if st.Bypassing {
+			bypassing = 1
+		}
+		emit("repro_cache_bypass_active", bypassing)
 	}
 	// A scrape must never block on the restore-path tree rebuild: skip
 	// the tree samples until the tree exists.
@@ -445,7 +454,10 @@ func (a *Accelerator) treeHealth() (h treeHealth) {
 // With Config.CacheSize set, the flow cache is consulted first: a
 // repeated 5-tuple skips both the accelerator lock and the hardware
 // walk. Entries are epoch-stamped, so cached answers are always exactly
-// what the current structure would return.
+// what the current structure would return. This path ignores the
+// cache's admission mode (a miss here is a device-model walk under the
+// accelerator lock, far above that mode's break-even): every lookup is a
+// hit or a miss in CacheStats.
 func (a *Accelerator) Classify(p Packet) int {
 	c := a.handle.Cache()
 	if c != nil {
@@ -480,9 +492,9 @@ func (a *Accelerator) ClassifyBatch(pkts []Packet, out []int32) {
 	a.handle.ClassifyBatchCached(pkts, out)
 }
 
-// CacheStats reports the flow cache's counters (hits, misses, stale
-// evictions, occupancy). The zero value is returned when caching is
-// disabled.
+// CacheStats reports the flow cache's counters (hits, misses, bypassed,
+// stale evictions, occupancy) and its admission mode. The zero value is
+// returned when caching is disabled.
 func (a *Accelerator) CacheStats() CacheStats {
 	if c := a.handle.Cache(); c != nil {
 		return c.Stats()

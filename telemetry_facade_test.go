@@ -96,9 +96,9 @@ func TestTelemetryConsistentUnderChurn(t *testing.T) {
 		t.Errorf("deltas applied = %d, want >= %d (or recompile fallbacks on record)",
 			s.DeltasApplied, len(pool))
 	}
-	// Every cache probe is accounted a hit or a miss, nothing lost.
-	if got, want := s.Cache.Hits+s.Cache.Misses, s.Packets; got != want {
-		t.Errorf("cache hits+misses = %d, want == packets %d", got, want)
+	// Every packet is accounted a hit, a miss or bypassed, nothing lost.
+	if got, want := s.Cache.Hits+s.Cache.Misses+s.Cache.Bypassed, s.Packets; got != want {
+		t.Errorf("cache hits+misses+bypassed = %d, want == packets %d", got, want)
 	}
 	if s.PatchFailures != 0 {
 		t.Errorf("patch failures = %d, want 0 (delta protocol regression)", s.PatchFailures)
@@ -252,6 +252,31 @@ func TestTelemetryHTTPDuringChurn(t *testing.T) {
 	s := a.Telemetry()
 	if got := metricValue(body, "repro_packets_total"); got != float64(s.Packets) {
 		t.Errorf("scraped packets %v != snapshot %d", got, s.Packets)
+	}
+	// The trace is scatter traffic and every round met a new epoch: no
+	// lookup ever hit, so after one admission window (4 x 4096 lookups)
+	// the cache bypasses. The scrape alone must show that, with the
+	// conservation law, and /debug/events must say when and why.
+	accounted := metricValue(body, "repro_cache_hits_total") + metricValue(body, "repro_cache_misses_total") +
+		metricValue(body, "repro_cache_bypassed_total")
+	if accounted != float64(s.Packets) || metricValue(body, "repro_cache_bypassed_total") == 0 {
+		t.Errorf("scraped hits+misses+bypassed = %v (bypassed %v), packets %d",
+			accounted, metricValue(body, "repro_cache_bypassed_total"), s.Packets)
+	}
+	if metricValue(body, "repro_cache_bypass_active") != 1 || !s.Cache.Bypassing {
+		t.Errorf("scatter traffic left the cache in normal mode: %+v", s.Cache)
+	}
+	resp, err := http.Get("http://" + addr + "/debug/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(events), `"kind": "cache_mode"`) {
+		t.Errorf("/debug/events has no cache_mode event for the flip:\n%s", events)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatalf("close: %v", err)
