@@ -87,7 +87,7 @@ func BenchmarkEngineParallelClassify(b *testing.B) {
 
 // BenchmarkClassifyBatchACL10k is the tentpole's headline measurement:
 // the batched classify path on an ACL1 ruleset at 10k rules, with the
-// structure-of-arrays comparator-bank leaf scan (soa) against the
+// word-packed comparator-bank leaf scan (soa) against the
 // array-of-structs early-exit scan (aos).
 func BenchmarkClassifyBatchACL10k(b *testing.B) {
 	rs := classbench.Generate(classbench.ACL1(), 10000, 2008)
@@ -104,15 +104,11 @@ func BenchmarkClassifyBatchACL10k(b *testing.B) {
 	}{{"aos", eng.ClassifyBatchAoS}}
 	// One soa row per available scan kernel (kernel=portable plus the
 	// CPU's native kernel), so the SIMD end-to-end win is visible.
-	for _, k := range kernels() {
-		ke, err := eng.WithKernel(k)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, ke := range withKernels(b, eng) {
 		rows = append(rows, struct {
 			name string
 			fn   func([]rule.Packet, []int32)
-		}{fmt.Sprintf("soa/kernel=%s", k), ke.ClassifyBatch})
+		}{"soa/kernel=" + ke.Kernel(), ke.ClassifyBatch})
 	}
 	for _, v := range rows {
 		b.Run(v.name, func(b *testing.B) {
@@ -127,12 +123,15 @@ func BenchmarkClassifyBatchACL10k(b *testing.B) {
 }
 
 // BenchmarkLeafScan isolates the leaf-match stage on real workload: ACL1
-// packets are bucketed by the size of the leaf window their walk lands
-// in, and each bucket's scans run through the AoS early-exit loop and
-// the SoA comparator bank (walks precomputed, so the rows measure only
-// the scan kernels on real windows, real match depths and real
-// branch-predictor pressure). The acceptance bar is soa at parity on
-// small windows and measurably faster from 8 rules up.
+// packets are bucketed by match depth in bank words — how many words of
+// its window a scan reads before the one holding the match (a scan that
+// matches nothing reads them all and lands in the bucket of its window's
+// length) — and each bucket's scans run through the AoS early-exit loop
+// and through each scan kernel a block at a time (walks precomputed, so
+// the rows measure only the scan on real windows, real match positions
+// and real branch-predictor pressure). ns/op is per scan. A kernel's
+// cost should grow by one word read per step in depth, the AoS loop's by
+// up to eight rules.
 func BenchmarkLeafScan(b *testing.B) {
 	rs := classbench.Generate(classbench.ACL1(), 10000, 2008)
 	tree, err := core.Build(rs, core.DefaultConfig(core.HyperCuts))
@@ -141,86 +140,72 @@ func BenchmarkLeafScan(b *testing.B) {
 	}
 	eng := Compile(tree)
 
-	type scanCase struct {
-		l leafRef
-		f [rule.NumDims]uint32
+	type scanCases struct {
+		refs []leafRef
+		f    [][rule.NumDims]uint32
+		want []int32
 	}
-	buckets := map[int][]scanCase{}
-	bucketOf := func(n int32) int {
-		for _, hi := range []int32{4, 8, 16, 32, 64, 128} {
-			if n <= hi {
-				return int(hi)
-			}
-		}
-		return 256
-	}
+	depths := []int32{1, 2, 3, 4, 8, 16, 1 << 30}
+	buckets := make([]scanCases, len(depths))
 	// Each bucket needs enough distinct cases that the branch predictor
 	// cannot memorize the AoS loop's per-case outcomes across bench
 	// iterations (which would flatter AoS far beyond line-rate reality),
-	// so keep drawing trace batches until the buckets fill or the trace
-	// budget runs out.
+	// so keep drawing trace batches until the shallow buckets fill or the
+	// trace budget runs out.
 	const wantCases = 4096
 	for seed, drawn := int64(2009), 0; drawn < 1<<21; seed++ {
 		trace := classbench.GenerateTrace(rs, 1<<17, seed)
 		drawn += len(trace)
-		full := true
 		for _, p := range trace {
-			f := [rule.NumDims]uint32{p.SrcIP, p.DstIP, uint32(p.SrcPort), uint32(p.DstPort), uint32(p.Proto)}
+			f := soaFields(p)
 			l := eng.walk(&f)
 			if l.n == 0 {
 				continue
 			}
-			bk := bucketOf(l.n)
-			if len(buckets[bk]) < wantCases {
-				buckets[bk] = append(buckets[bk], scanCase{l, f})
+			want := int32(eng.aosScanLeaf(l, &f))
+			last := l.off + l.n - 1 // a miss reads every word
+			if s := eng.soa.scanWindow(l, &f); s >= 0 {
+				last = s
+			}
+			words := last/wordSlots - l.off/wordSlots + 1
+			for k, hi := range depths {
+				if words <= hi {
+					if c := &buckets[k]; len(c.refs) < wantCases {
+						c.refs, c.f, c.want = append(c.refs, l), append(c.f, f), append(c.want, want)
+					}
+					break
+				}
 			}
 		}
-		for _, hi := range []int{32, 64, 128} {
-			if len(buckets[hi]) < wantCases {
-				full = false
-			}
-		}
-		if full {
+		if len(buckets[0].refs) == wantCases && len(buckets[1].refs) == wantCases && len(buckets[2].refs) == wantCases {
 			break
 		}
 	}
-	for _, hi := range []int{4, 8, 16, 32, 64, 128, 256} {
-		cases := buckets[hi]
-		if len(cases) < 64 {
-			continue // this ruleset has no populated windows in the bucket
+	for k, c := range buckets {
+		n := len(c.refs) / blockLen * blockLen
+		if n == 0 {
+			continue // this ruleset has no scans this deep
 		}
-		for ci := range cases {
-			c := &cases[ci]
-			if got, want := eng.scanLeaf(c.l, &c.f), eng.aosScanLeaf(c.l, &c.f); got != want {
-				b.Fatalf("leafsize<=%d case %d: soa=%d aos=%d", hi, ci, got, want)
-			}
+		name := fmt.Sprintf("words<=%d", depths[k])
+		if k == len(depths)-1 {
+			name = fmt.Sprintf("words>%d", depths[k-1])
 		}
-		b.Run(fmt.Sprintf("aos/leafsize=%d", hi), func(b *testing.B) {
+		b.Run("aos/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c := &cases[i%len(cases)]
-				eng.aosScanLeaf(c.l, &c.f)
+				eng.aosScanLeaf(c.refs[i%n], &c.f[i%n])
 			}
 		})
-		// One soa row per scan kernel: the ≥1.5x acceptance bar of the
-		// SIMD backend is kernel=avx2 (or neon) over kernel=portable on
-		// the 64- and 128-slot buckets.
-		for _, k := range kernels() {
-			ke, err := eng.WithKernel(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for ci := range cases {
-				c := &cases[ci]
-				if got, want := ke.scanLeaf(c.l, &c.f), eng.aosScanLeaf(c.l, &c.f); got != want {
-					b.Fatalf("kernel=%s leafsize<=%d case %d: soa=%d aos=%d", k, hi, ci, got, want)
-				}
-			}
-			b.Run(fmt.Sprintf("soa/kernel=%s/leafsize=%d", k, hi), func(b *testing.B) {
+		for _, ke := range withKernels(b, eng) {
+			b.Run(fmt.Sprintf("bank/kernel=%s/%s", ke.Kernel(), name), func(b *testing.B) {
+				var out [blockLen]int32
 				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c := &cases[i%len(cases)]
-					ke.scanLeaf(c.l, &c.f)
+				for i := 0; i < b.N; i += blockLen {
+					at := i % n
+					ke.scanBlock(c.refs[at:at+blockLen], c.f[at:at+blockLen], out[:])
+					if out != [blockLen]int32(c.want[at:at+blockLen]) {
+						b.Fatalf("cases %d..%d: kernel and AoS scan disagree", at, at+blockLen)
+					}
 				}
 			})
 		}

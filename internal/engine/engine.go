@@ -22,17 +22,22 @@
 //     keep their sharing, so the pool is the software twin of the leaf
 //     words). The rules' bounds are stored twice: as a flat []flatRule
 //     array indexed by rule ID (the source of truth, and the AoS
-//     baseline), and as structure-of-arrays per-dimension lo/hi arenas
-//     in pool order — the software comparator bank (soa.go) the leaf
-//     scan sweeps with branch-free blocked compares, the stand-in for
-//     the 30 parallel comparators. The bank is derived state: Compile
-//     and image restore build it from the rule table and the pool
-//     (soaBank.build), Patch appends to it in lock-step with the pool.
+//     baseline), and word-packed in pool order — the software
+//     comparator bank (soa.go): one 320-byte word holds the bounds of
+//     eight consecutive pool slots, so a leaf scan reads one memory
+//     word per eight rules and compares all eight at once, as the
+//     device reads one 4800-bit word per 30 rules. The bank is derived
+//     state: Compile and image restore build it from the rule table and
+//     the pool (soaBank.build), Patch appends to it in lock-step with
+//     the pool.
 //
 // Traversal therefore never chases a Go pointer: it walks int32 indices
 // through three flat arrays, computing child indexes with the identical
-// mask/shift/add datapath the accelerator implements. Classify and
-// ClassifyBatch perform zero allocations per packet; ParallelClassify
+// mask/shift/add datapath the accelerator implements. ClassifyBatch
+// works in blocks of blockLen packets: it walks every packet of a block
+// to its leaf window first, then hands the whole block to the scan
+// kernel (soa_dispatch.go) in one call; Classify is the same kernel on
+// a block of one. Both perform zero allocations; ParallelClassify
 // shards a batch across cores for multi-Gbps software throughput.
 //
 // Each Engine value is an immutable snapshot. Live updates do not mutate
@@ -46,7 +51,6 @@
 package engine
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 
@@ -101,13 +105,6 @@ type flatRule struct {
 	hi [rule.NumDims]uint32
 }
 
-// The ten-compare bounds check appears expanded in three scan loops
-// (scanLeaf's peel and verify, aosScanLeaf) instead of as a flatRule
-// method: at cost 100 it exceeds the inliner's budget of 80, and the
-// resulting call per scanned rule costs the AoS paths ~25% of their
-// throughput. The SoA differential tests (soa_test.go) pin all copies
-// to identical behaviour.
-
 // Engine is a flat, immutable, pointer-free classification engine. All
 // methods are safe for concurrent use.
 //
@@ -138,14 +135,14 @@ type Engine struct {
 	ruleIDs []int32
 	//repro:arena
 	rules []flatRule
-	// soa holds the leaf windows' rule bounds as per-dimension arenas in
-	// ruleIDs order — the software comparator bank the leaf scan sweeps
-	// (see soa.go). Like ruleIDs it is an append-only arena: Patch
-	// appends rewritten windows past the receiver's length, so the
-	// arenas are shared between snapshots exactly like the pool.
+	// soa holds the leaf windows' rule bounds word-packed in ruleIDs
+	// order — the software comparator bank the leaf scan reads (see
+	// soa.go). Like ruleIDs it is an append-only arena: Patch writes
+	// rewritten windows past the receiver's slot count, so the arena is
+	// shared between snapshots exactly like the pool.
 	soa soaBank
 
-	// kern is the leaf-scan kernel tag (kernPortable/kernNative), stamped
+	// kern is the scan kernel tag (kernPortable/kernNative), stamped
 	// at Compile from the process default and carried unchanged through
 	// Patch: a published snapshot never changes kernels mid-flight. See
 	// soa_dispatch.go; WithKernel derives a re-stamped view for A/B runs.
@@ -218,8 +215,7 @@ func Compile(t *core.Tree) *Engine {
 		e.nodes[w] = nd
 	}
 	e.setLeaves(flat)
-	e.soa.computeOrder()
-	e.soa.pad()
+	e.soa.computeOrder(len(e.ruleIDs))
 	return e
 }
 
@@ -242,81 +238,38 @@ func (e *Engine) leafAt(i int32) leafRef {
 	return e.leaves[i>>leafChunkBits][i&leafChunkMask]
 }
 
+// blockLen is the number of packets ClassifyBatch walks before it calls
+// the scan kernel once for all of them. Measured against 1, 4, 16, 64
+// and 256 (DESIGN.md §10): one call per packet costs half again as much,
+// and past 4-8 packets a longer block buys nothing.
+const blockLen = 8
+
+// scanStage is one block of walked packets awaiting the scan kernel:
+// packet j's leaf window and field vector. It lives on the caller's
+// stack.
+type scanStage struct {
+	refs [blockLen]leafRef
+	f    [blockLen][rule.NumDims]uint32
+}
+
+// stage walks p to its leaf window, leaving its field vector in f.
+func (e *Engine) stage(p rule.Packet, f *[rule.NumDims]uint32) leafRef {
+	*f = [rule.NumDims]uint32{p.SrcIP, p.DstIP, uint32(p.SrcPort), uint32(p.DstPort), uint32(p.Proto)}
+	return e.walk(f)
+}
+
 // Classify returns the highest-priority matching rule ID for p, or -1.
-// It allocates nothing. The leaf scan runs on the structure-of-arrays
-// comparator bank (soa.go): five contiguous per-dimension sweeps over the
-// window's bounds, branch-free, with the first set mask bit as the match
-// — the software twin of the accelerator's 30 parallel comparators.
+// It allocates nothing. It is ClassifyBatch on a block of one: the walk,
+// then the engine's scan kernel over the comparator bank (soa.go).
 // ClassifyAoS is the array-of-structs baseline it is measured against.
 //
 //repro:hotpath
 func (e *Engine) Classify(p rule.Packet) int {
-	f := [rule.NumDims]uint32{p.SrcIP, p.DstIP, uint32(p.SrcPort), uint32(p.DstPort), uint32(p.Proto)}
-	l := e.walk(&f)
-	return e.scanLeaf(l, &f)
-}
-
-// scanLeaf resolves a leaf window to its highest-priority match.
-//
-// The peel (peelLen: the whole window when short, the kernel's peel
-// depth otherwise) runs the AoS early-exit compare: Zipf-popular rules
-// are the high-priority ones, so roughly half of all scans end in the
-// window's first slot, where the bank's block setup can't be
-// amortized. The remainder runs the engine's stamped scan kernel. On
-// the native kernels that is one fused asm call (soaBank.scanSIMD):
-// the returned slot matched every dimension in-register, so its rule
-// ID is the answer with no verify step. The portable kernel runs the
-// comparator bank as a prefilter — per block, one or two branch-free
-// sweeps of the most selective dimensions produce a candidate mask,
-// and only surviving slots are verified against their full bounds, in
-// mask-bit (priority) order. Deep scans therefore cost ~one compare
-// per slot with no data-dependent branches, where the AoS loop pays a
-// mispredict per rule.
-//
-//repro:hotpath
-func (e *Engine) scanLeaf(l leafRef, f *[rule.NumDims]uint32) int {
-	peel := peelLen(e.kern, l.n)
-	for _, id := range e.ruleIDs[l.off : l.off+peel] {
-		r := &e.rules[id]
-		if f[0] >= r.lo[0] && f[0] <= r.hi[0] &&
-			f[1] >= r.lo[1] && f[1] <= r.hi[1] &&
-			f[2] >= r.lo[2] && f[2] <= r.hi[2] &&
-			f[3] >= r.lo[3] && f[3] <= r.hi[3] &&
-			f[4] >= r.lo[4] && f[4] <= r.hi[4] {
-			return int(id)
-		}
-	}
-	if peel == l.n {
-		return -1
-	}
-	if e.kern == kernNative {
-		if pos := e.soa.scanSIMD(l.off+peel, l.n-peel, f); pos >= 0 {
-			return int(e.ruleIDs[l.off+peel+pos])
-		}
-		return -1
-	}
-	end := l.off + l.n
-	width := int32(scanBlockLen)
-	for base := l.off + peel; base < end; {
-		bl := end - base
-		if bl > width {
-			bl = width
-		}
-		for m := e.soa.candidates(base, bl, f); m != 0; m &= m - 1 {
-			id := e.ruleIDs[base+int32(bits.TrailingZeros64(m))]
-			r := &e.rules[id]
-			if f[0] >= r.lo[0] && f[0] <= r.hi[0] &&
-				f[1] >= r.lo[1] && f[1] <= r.hi[1] &&
-				f[2] >= r.lo[2] && f[2] <= r.hi[2] &&
-				f[3] >= r.lo[3] && f[3] <= r.hi[3] &&
-				f[4] >= r.lo[4] && f[4] <= r.hi[4] {
-				return int(id)
-			}
-		}
-		base += bl
-		width = scanTailLen
-	}
-	return -1
+	var f [1][rule.NumDims]uint32
+	var out [1]int32
+	ref := [1]leafRef{e.stage(p, &f[0])}
+	e.scanBlock(ref[:], f[:], out[:])
+	return int(out[0])
 }
 
 // ClassifyAoS is Classify with the array-of-structs leaf scan: one rule
@@ -326,12 +279,14 @@ func (e *Engine) scanLeaf(l leafRef, f *[rule.NumDims]uint32) int {
 // oracle of the SoA tests; the two are packet-identical by construction
 // and by test.
 func (e *Engine) ClassifyAoS(p rule.Packet) int {
-	f := [rule.NumDims]uint32{p.SrcIP, p.DstIP, uint32(p.SrcPort), uint32(p.DstPort), uint32(p.Proto)}
-	return e.aosScanLeaf(e.walk(&f), &f)
+	var f [rule.NumDims]uint32
+	return e.aosScanLeaf(e.stage(p, &f), &f)
 }
 
 // aosScanLeaf is the array-of-structs window scan: one rule at a time
-// with early exit, the counterpart of scanLeaf's peel+bank split.
+// with early exit. The ten-compare bounds check is written out because
+// as a flatRule method it exceeds the inliner's budget, and a call per
+// scanned rule costs this path ~25% of its throughput.
 func (e *Engine) aosScanLeaf(l leafRef, f *[rule.NumDims]uint32) int {
 	for _, id := range e.ruleIDs[l.off : l.off+l.n] {
 		r := &e.rules[id]
@@ -349,7 +304,7 @@ func (e *Engine) aosScanLeaf(l leafRef, f *[rule.NumDims]uint32) int {
 // walk runs the internal-node traversal — the identical mask/shift/add
 // datapath the accelerator implements — and returns the leaf window the
 // packet lands in. Shared by the SoA and AoS classify paths, so the two
-// differ only in the leaf-scan kernel.
+// differ only in the leaf scan.
 func (e *Engine) walk(f *[rule.NumDims]uint32) leafRef {
 	// The hardware's register B: the top 8 bits of every field, computed
 	// once per packet instead of once per cut evaluation.
@@ -385,11 +340,51 @@ func (e *Engine) walk(f *[rule.NumDims]uint32) leafRef {
 // ClassifyBatch classifies pkts[i] into out[i] for every i. It performs
 // zero heap allocations; out must be at least as long as pkts.
 //
+// The batch is worked in blocks of blockLen in two stages. Stage one
+// walks each packet of the block to its leaf window: the walks are
+// independent of one another, so their cache misses (child slot, leaf
+// table entry) overlap instead of queueing behind the previous packet's
+// scan. Stage two is one scan-kernel call for the whole block, which
+// writes the answers straight into out.
+//
 //repro:hotpath
 func (e *Engine) ClassifyBatch(pkts []rule.Packet, out []int32) {
-	_ = out[:len(pkts)] // bounds check once; panics if out is short
-	for i := range pkts {
-		out[i] = int32(e.Classify(pkts[i]))
+	out = out[:len(pkts)] // bounds check once; panics if out is short
+	var st scanStage
+	for len(pkts) > 0 {
+		n := min(len(pkts), blockLen)
+		for j, p := range pkts[:n] {
+			st.refs[j] = e.stage(p, &st.f[j])
+		}
+		e.scanBlock(st.refs[:n], st.f[:n], out[:n])
+		pkts, out = pkts[n:], out[n:]
+	}
+}
+
+// classifyMarked is ClassifyBatch for the packets whose out entry holds
+// mark, and leaves every other entry alone: classifyCachedRange's form,
+// whose engine-bound packets are scattered among cached answers. The
+// marked packets are gathered into blocks; at[j] is staged packet j's
+// place in the batch.
+func (e *Engine) classifyMarked(pkts []rule.Packet, out []int32, mark int32) {
+	var st scanStage
+	var at, res [blockLen]int32
+	n := 0
+	for i := 0; ; i++ {
+		if i == len(pkts) || n == blockLen {
+			e.scanBlock(st.refs[:n], st.f[:n], res[:n])
+			for j, k := range at[:n] {
+				out[k] = res[j]
+			}
+			if n = 0; i == len(pkts) {
+				return
+			}
+		}
+		if out[i] == mark {
+			st.refs[n] = e.stage(pkts[i], &st.f[n])
+			at[n] = int32(i)
+			n++
+		}
 	}
 }
 
@@ -446,5 +441,5 @@ func (e *Engine) NumRules() int { return len(e.rules) }
 func (e *Engine) MemoryBytes() int {
 	return len(e.nodes)*16 + len(e.cuts)*3 + len(e.kids)*4 +
 		len(e.leaves)*(leafChunkLen*8+24) + len(e.ruleIDs)*4 + len(e.rules)*40 +
-		e.soa.slots()*8*rule.NumDims
+		len(e.soa.words)*8*wordSlots*rule.NumDims
 }

@@ -127,19 +127,26 @@ func (h *Handle) ClassifyBatchCached(pkts []rule.Packet, out []int32) {
 }
 
 // classifyCachedRange answers pkts through the cache under its admission
-// policy (flowcache.LookupBatch): hits are already in out; a packet the
-// policy kept away from the cache is answered by the engine alone; a
-// miss is re-probed, walked and inserted.
+// policy (flowcache.LookupBatch): hits are already in out; a miss is
+// re-probed, walked and inserted; the packets the policy kept away from
+// the cache are answered by the engine alone, a block at a time, once
+// the loop has counted them.
 func classifyCachedRange(s *Snapshot, c *flowcache.Cache, tel *telemetry.Recorder, pkts []rule.Packet, out []int32) {
 	hits := uint64(c.LookupBatch(pkts, s.epoch, out))
 	var misses, bypassed uint64
 	if hits != uint64(len(pkts)) {
-		for i := range pkts {
-			if out[i] > flowcache.NoEntry {
-				continue // a cached answer: both sentinels sort below every rule ID
+		for i := 0; ; i++ {
+			// Skip the cached answers (both sentinels sort below every
+			// rule ID) in a loop of their own: as a branch of the loop
+			// below, the compiler spills that loop's counters once per
+			// hit.
+			for i < len(pkts) && out[i] > flowcache.NoEntry {
+				i++
+			}
+			if i == len(pkts) {
+				break
 			}
 			if out[i] == flowcache.NotProbed {
-				out[i] = int32(s.eng.Classify(pkts[i]))
 				bypassed++
 				continue
 			}
@@ -157,6 +164,9 @@ func classifyCachedRange(s *Snapshot, c *flowcache.Cache, tel *telemetry.Recorde
 			c.Insert(pkts[i], s.epoch, rid)
 			out[i] = rid
 			misses++
+		}
+		if bypassed != 0 {
+			s.eng.classifyMarked(pkts, out, flowcache.NotProbed)
 		}
 	}
 	// One counter flush per batch keeps the hit path free of

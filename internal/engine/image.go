@@ -21,10 +21,9 @@ import (
 //
 // What does NOT travel is re-derived on restore: the scan-kernel tag
 // (the restoring host re-probes its own CPU features and stamps
-// defaultKern), the SoA comparator bank (a pure function of the rule
+// defaultKern) and the comparator bank (a pure function of the rule
 // table and the ruleIDs pool; soaBank.build fills it exactly as Compile
-// does, so it cannot disagree with its source) and the bank's resolved
-// sweep pointers plus over-read padding (soaBank.pad()).
+// does, so it cannot disagree with its source).
 //
 // Restore trusts nothing: beyond the container's checksums it
 // re-validates every structural invariant the classify path relies on —
@@ -299,7 +298,6 @@ func restoreSections(secs []image.Section) (*Engine, error) {
 	e.setLeaves(flat)
 	e.soa.build(e.rules, e.ruleIDs)
 	e.soa.order = order
-	e.soa.pad()
 	return e, nil
 }
 

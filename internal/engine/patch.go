@@ -14,9 +14,9 @@ import (
 //
 //   - cuts never change (internal-node cut headers are invariant under
 //     incremental updates) and are always shared;
-//   - rules, ruleIDs, the SoA comparator-bank arenas (soa.go) and kids
-//     are append-only arenas: new rule entries, rewritten leaf windows
-//     (IDs and per-dimension bounds alike) and relocated kid blocks are
+//   - rules, ruleIDs, the comparator bank (soa.go) and kids are
+//     append-only arenas: new rule entries, rewritten leaf windows (IDs
+//     and word-packed bounds alike) and relocated kid blocks are
 //     appended past the receiver's length, so readers of older
 //     snapshots — whose offsets all point below it — are never
 //     disturbed (this is what makes the snapshot swap race-detector
@@ -85,9 +85,6 @@ func (e *Engine) PatchBatch(ds []*core.Delta) (*Engine, error) {
 			return nil, err
 		}
 	}
-	// Restore the SIMD kernels' over-read slack past the batch's appends
-	// before the snapshot is published (see soaPadSlots).
-	ne.soa.pad()
 	return ne, nil
 }
 
@@ -184,12 +181,12 @@ func (ne *Engine) applyOne(d *core.Delta, st *patchState) error {
 	for _, le := range d.LeafEdits {
 		slot := int32(le.Index)
 		ref := leafRef{off: int32(len(ne.ruleIDs)), n: int32(len(le.Rules))}
+		// The comparator bank grows in lock-step with the ruleIDs pool:
+		// the rewritten window's bounds go past the receiver's slot
+		// count, never over a published slot, so older snapshots keep
+		// reading their own slots untouched.
+		ne.soa.appendWindow(len(ne.ruleIDs), ne.rules, le.Rules)
 		ne.ruleIDs = append(ne.ruleIDs, le.Rules...)
-		// The SoA comparator-bank arenas grow in lock-step with the
-		// ruleIDs pool: the rewritten window's bounds are appended past
-		// the receiver's length, never written in place, so older
-		// snapshots keep reading their own slots untouched.
-		ne.soa.appendWindow(ne.rules, le.Rules)
 		if le.New {
 			if int(slot) != ne.numLeaves {
 				return fmt.Errorf("engine: patch appends leaf %d but the leaf table holds %d entries (delta applied out of order?)",

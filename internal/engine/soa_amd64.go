@@ -2,6 +2,8 @@
 
 package engine
 
+import "repro/internal/rule"
+
 // nativeKernelName names this architecture's SIMD scan kernel.
 const nativeKernelName = "avx2"
 
@@ -29,15 +31,14 @@ func detectNative() bool {
 	return b7&avx2 != 0
 }
 
-// scanWindowASM is the fused AVX2 window scan (soa_amd64.s): per block,
-// 8 range comparators per round (VPSUBD/VPMINUD/VPCMPEQD, the same
-// unsigned-wraparound check rangeBit makes), VMOVMSKPS-packed into a
-// uint64 mask held in a register across the selectivity-ordered
-// dimension sweeps, early-outing when it collapses. Returns the first
-// matching slot offset or -1; see scanArgs for the contract.
+// scanBlockASM is the AVX2 scan kernel (soa_amd64.s): for each i <
+// len(out) it scans window refs[i] of the bank for the fields f[i] and
+// stores ids[slot] of the first matching slot, or -1, in out[i]. refs
+// and f must hold at least len(out) entries and every window must lie
+// inside ids (Compile, Patch and restore's validation guarantee it).
 //
 //go:noescape
-func scanWindowASM(a *scanArgs) int32
+func scanBlockASM(words []bankWord, ids []int32, refs []leafRef, f [][rule.NumDims]uint32, out []int32)
 
 // cpuidASM executes CPUID with the given leaf/subleaf.
 func cpuidASM(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -2,122 +2,127 @@
 
 #include "textflag.h"
 
-// Fused AVX2 window scan over the SoA comparator-bank arenas: the
-// software rendering of the paper's bank of parallel range comparators,
-// 8 comparators per instruction round. See scanArgs (soa_dispatch.go)
-// for the argument block layout the offsets below hard-code (pinned by
-// compile-time asserts) and scanSIMD for the calling contract.
+// AVX2 scan kernel over the word-packed comparator bank (soa.go): the
+// software rendering of the paper's leaf read, one memory word per eight
+// rules with all eight comparators of a dimension fired by one
+// instruction round. scanBlockASM's Go declaration (soa_amd64.go) states
+// the contract; a block is up to 64 staged packets, so the Go->asm
+// transition, the base-pointer loads and VZEROUPPER are paid once per
+// block, not once per packet.
 //
-// Structure (the register twin of soaBank.scan):
+// Per packet: broadcast the five fields, then for each word of the
+// window
 //
-//   for each block (scanBlockLen first, scanTailLen after):
-//     m = sweep(dim 0) & blockmask        // dims pre-ordered by selectivity
-//     for dim 1..4: m &= sweep(dim); if m == 0 break
-//     if m != 0: return base + tzcnt(m)   // first bit = highest priority
+//   m = AND over the five lines of (v - lo <=u hi - lo)   // VPSUBD x2, VPMINUD, VPCMPEQD
+//   m = movmsk(m) & head mask & tail mask
+//   if m != 0: out = ids[word's first slot + tzcnt(m)]; next packet
 //
-// A sweep runs ceil(bl/8) rounds of 8 slots. Each round is the
-// unsigned-wraparound range check rangeBit makes, vectorized: lanes
-// match iff v-lo <= hi-lo (unsigned), i.e. min_u(v-lo, hi-lo) == v-lo,
-// and VMOVMSKPS packs the 8 lane verdicts into GP bits. Rounds may read
-// up to 7 slots past the window (and, on the last window of the arena,
-// past the arena length): soaBank.pad() guarantees soaPadSlots of
-// allocated slack, and the block mask discards the stray lanes.
+// v - lo <=u hi - lo is the unsigned-wraparound range check rangeBit
+// makes. Windows are not word-aligned: the head mask drops the lanes of
+// the first word below the window's first slot, the tail mask the lanes
+// of the last word at and past its end, and every load stays inside the
+// arena because the arena is whole words.
 //
 // Register plan:
-//   R15 args    R14 n      R13 base    R12 width   R11 blockmask
-//   R10 m       R9  sweep mask         R8 movemask scratch
-//   SI  lo ptr  DI  hi ptr  AX lane byte offset / result
-//   BX  bl      CX  bit position       DX dim index
-//   Y0  broadcast field    Y1-Y6 lanes
+//   R8 words   R9 ids   R10 &refs[i]   R11 &f[i]   R12 &out[i]
+//   R13 packets left    R14 &tail      R15 answer
+//   DI word pointer     SI slot of the word's lane 0
+//   BX slots from SI to the window's end            DX head mask
+//   AX, CX scratch      Y8-Y12 broadcast fields     Y0-Y5 rounds
 
-// SWEEP(label): mask of the current dimension over the current block.
-// In: SI/DI dimension arena pointers (at block base), Y0 broadcast
-// field, BX block length. Out: R9. Clobbers AX, CX, R8, Y1-Y6.
-#define SWEEP(label)                  \
-	XORQ  R9, R9                  \
-	XORQ  AX, AX                  \
-	XORQ  CX, CX                  \
-label:                                \
-	VMOVDQU   (SI)(AX*1), Y1      \ // lo[j..j+7]
-	VMOVDQU   (DI)(AX*1), Y2      \ // hi[j..j+7]
-	VPSUBD    Y1, Y0, Y3          \ // v - lo
-	VPSUBD    Y1, Y2, Y4          \ // hi - lo
-	VPMINUD   Y3, Y4, Y5          \
-	VPCMPEQD  Y5, Y3, Y6          \ // all-ones where v-lo <= hi-lo
-	VMOVMSKPS Y6, R8              \
-	SHLQ      CX, R8              \
-	ORQ       R8, R9              \
-	ADDQ      $32, AX             \
-	ADDQ      $8, CX              \
-	CMPQ      CX, BX              \
-	JL        label
+// tail<>[t] = 1<<t - 1: the lanes of a word that lie before a window end
+// t lanes in (t = 8: the window covers the rest of the word).
+DATA tail<>+0(SB)/8, $0x7f3f1f0f07030100
+DATA tail<>+8(SB)/8, $0x00000000000000ff
+GLOBL tail<>(SB), RODATA|NOPTR, $16
 
-// func scanWindowASM(a *scanArgs) int32
-TEXT ·scanWindowASM(SB), NOSPLIT, $0-12
-	MOVQ    a+0(FP), R15
-	MOVLQSX 100(R15), R14        // n
-	XORQ    R13, R13             // base = 0
-	MOVQ    $16, R12             // width = scanBlockLen
+// ROUND(line, v, m): m = all-ones in the lanes of the word at DI whose
+// bounds in the dimension stored at byte offset line contain that lane
+// of v. Clobbers Y0-Y3.
+#define ROUND(line, v, m)         \
+	VMOVDQU  line(DI), Y0     \ // lo
+	VMOVDQU  line+32(DI), Y1  \ // hi
+	VPSUBD   Y0, v, Y2        \ // v - lo
+	VPSUBD   Y0, Y1, Y3       \ // hi - lo
+	VPMINUD  Y2, Y3, Y3       \
+	VPCMPEQD Y3, Y2, m        // v - lo <= hi - lo
 
-block:
-	MOVQ R14, BX
-	SUBQ R13, BX                 // rem = n - base
-	JLE  miss
-	CMPQ BX, R12
-	JLE  lenok
-	MOVQ R12, BX                 // bl = min(rem, width)
-lenok:
-	MOVQ $-1, R11                // blockmask = (1<<bl)-1; bl==64 keeps ~0
-	CMPQ BX, $64
-	JE   dim0
-	MOVQ BX, CX
-	MOVQ $1, R11
-	SHLQ CX, R11
-	DECQ R11
+// func scanBlockASM(words []bankWord, ids []int32, refs []leafRef, f [][5]uint32, out []int32)
+TEXT ·scanBlockASM(SB), NOSPLIT, $0-120
+	MOVQ  words_base+0(FP), R8
+	MOVQ  ids_base+24(FP), R9
+	MOVQ  refs_base+48(FP), R10
+	MOVQ  f_base+72(FP), R11
+	MOVQ  out_base+96(FP), R12
+	MOVQ  out_len+104(FP), R13
+	LEAQ  tail<>(SB), R14
+	TESTQ R13, R13
+	JLE   done
 
-dim0:
-	// Most selective dimension: its mask (cut to the block) seeds m.
-	MOVQ         (R15), SI       // lo[0]
-	MOVQ         40(R15), DI     // hi[0]
-	LEAQ         (SI)(R13*4), SI
-	LEAQ         (DI)(R13*4), DI
-	VPBROADCASTD 80(R15), Y0     // f[0]
-	SWEEP(sweep0)
-	ANDQ  R11, R9
-	MOVQ  R9, R10
-	TESTQ R10, R10
-	JZ    nextblock
+packet:
+	MOVL  $-1, R15
+	MOVL  (R10), SI              // off
+	MOVL  4(R10), BX             // n
+	TESTL BX, BX
+	JLE   store
+	VPBROADCASTD (R11), Y8
+	VPBROADCASTD 4(R11), Y9
+	VPBROADCASTD 8(R11), Y10
+	VPBROADCASTD 12(R11), Y11
+	VPBROADCASTD 16(R11), Y12
+	MOVL SI, CX
+	ANDL $7, CX                  // the window's first lane
+	MOVL $0xFF, DX
+	SHLL CX, DX                  // head mask
+	SUBL CX, SI
+	ADDL CX, BX
+	MOVL SI, DI
+	SHRL $3, DI
+	LEAQ (DI)(DI*4), DI
+	SHLQ $6, DI
+	ADDQ R8, DI
 
-	MOVQ $1, DX
-dimloop:
-	MOVQ         (R15)(DX*8), SI
-	MOVQ         40(R15)(DX*8), DI
-	LEAQ         (SI)(R13*4), SI
-	LEAQ         (DI)(R13*4), DI
-	VPBROADCASTD 80(R15)(DX*4), Y0
-	SWEEP(sweepn)
-	ANDQ R9, R10
-	JZ   nextblock               // mask collapsed: no match in this block
-	INCQ DX
-	CMPQ DX, $5                  // rule.NumDims
-	JL   dimloop
+	PCALIGN $32
+word:
+	ROUND(0, Y8, Y4)
+	ROUND(64, Y9, Y5)
+	VPAND Y5, Y4, Y4
+	ROUND(128, Y10, Y5)
+	VPAND Y5, Y4, Y4
+	ROUND(192, Y11, Y5)
+	VPAND Y5, Y4, Y4
+	ROUND(256, Y12, Y5)
+	VPAND Y5, Y4, Y4
+	VMOVMSKPS Y4, CX
+	MOVL    $8, AX
+	CMPL    BX, AX
+	CMOVLLT BX, AX               // lanes of this word before the window's end
+	MOVBLZX (R14)(AX*1), AX      // tail mask
+	ANDL    DX, AX
+	MOVL    $0xFF, DX            // only the first word has a head
+	ANDL    AX, CX
+	JNZ     hit
+	ADDQ    $320, DI
+	ADDL    $8, SI
+	SUBL    $8, BX
+	JG      word
+	JMP     store
 
-	// Survivors match all five dimensions: lowest bit = first slot in
-	// priority order.
-	BSFQ R10, AX
-	ADDQ R13, AX
+hit:
+	BSFL CX, CX                  // first lane = highest priority
+	ADDL SI, CX
+	MOVL (R9)(CX*4), R15
+
+store:
+	MOVL R15, (R12)
+	ADDQ $8, R10                 // sizeof(leafRef)
+	ADDQ $20, R11                // one field vector
+	ADDQ $4, R12
+	DECQ R13
+	JNZ  packet
+
+done:
 	VZEROUPPER
-	MOVL AX, ret+8(FP)
-	RET
-
-nextblock:
-	ADDQ BX, R13                 // base += bl
-	MOVQ $64, R12                // width = scanTailLen
-	JMP  block
-
-miss:
-	VZEROUPPER
-	MOVL $-1, ret+8(FP)
 	RET
 
 // func cpuidASM(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -4,25 +4,22 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"unsafe"
 
 	"repro/internal/rule"
 )
 
 // Kernel dispatch for the leaf-scan comparator bank (DESIGN.md §10).
 //
-// Three kernels implement the same window scan over the SoA arenas:
+// Two kernels implement the same walk over the same bank words:
 //
-//   - portable: the pure-Go blocked sweep of soa.go (candidates prefilter
-//     + verify on Engine; the 5-sweep mask kernel in soa_test.go is its
-//     oracle) — always compiled, the only kernel under the purego build
-//     tag, and the bit-for-bit differential reference for the others;
-//   - avx2 (amd64): a hand-written fused kernel (soa_amd64.s) that fires
-//     8 range comparators per VPCMPEQD round, keeps the block mask in a
-//     register across the selectivity-ordered dimension sweeps, and
-//     early-outs the moment it collapses to zero;
-//   - neon (arm64): the 4-lane twin (soa_arm64.s), 8 slots per round on
-//     two vectors.
+//   - portable: soaBank.scanWindow (soa.go), pure Go — always compiled,
+//     the only kernel under the purego build tag and on every
+//     architecture but amd64, and the differential reference for the
+//     other;
+//   - avx2 (amd64): scanBlockASM (soa_amd64.s), which fires the eight
+//     comparators of a word's line per VPCMPEQD round, ANDs the five
+//     rounds in registers and takes one branch per word, for a whole
+//     block of staged packets per call.
 //
 // Selection is one-time: a CPU-feature probe (soa_*.go detectNative)
 // picks the best kernel at init, overridable by the REPRO_SCAN_KERNEL
@@ -134,56 +131,22 @@ func (e *Engine) WithKernel(name string) (*Engine, error) {
 	return &ne, nil
 }
 
-// scanArgs is the argument block of the fused SIMD window kernels
-// (scanWindowASM). The Go wrapper resolves the sweep order once per
-// window: lo[i]/hi[i] point at the window's first slot in the i-th most
-// selective dimension's arena, f[i] is the packet field of that
-// dimension, n is the window length in slots (>= 1).
+// scanBlock resolves one block of staged packets: out[i] is the ID of
+// the highest-priority rule of window refs[i] whose bounds contain the
+// fields f[i], or -1, for every i < len(out). On the native kernel that
+// is one assembly call for the whole block.
 //
-// The assembly hard-codes the field offsets; the constants below pin
-// the layout at compile time. rule.NumDims changing would move them —
-// the asserts fail the build rather than silently corrupting the scan.
-type scanArgs struct {
-	lo [rule.NumDims]*uint32
-	hi [rule.NumDims]*uint32
-	f  [rule.NumDims]uint32
-	n  int32
-}
-
-// Compile-time layout asserts (both directions, so any drift from the
-// offsets the .s files use breaks the build).
-const (
-	_ = unsafe.Offsetof(scanArgs{}.hi) - 40
-	_ = 40 - unsafe.Offsetof(scanArgs{}.hi)
-	_ = unsafe.Offsetof(scanArgs{}.f) - 80
-	_ = 80 - unsafe.Offsetof(scanArgs{}.f)
-	_ = unsafe.Offsetof(scanArgs{}.n) - 100
-	_ = 100 - unsafe.Offsetof(scanArgs{}.n)
-)
-
-// scanSIMD returns the offset within the window [off, off+n) of the
-// first slot whose bounds contain the packet fields, or -1, via the
-// native fused kernel. n must be >= 1; callers guarantee the arenas
-// carry soaPadSlots of over-read slack past their length (pad()), which
-// is what lets the kernels round block sweeps up to full vector lanes
-// instead of peeling tails.
-//
-//repro:unsafe-shape packs the kernel argument block from pre-resolved arena base pointers
 //repro:hotpath
-func (b *soaBank) scanSIMD(off, n int32, f *[rule.NumDims]uint32) int32 {
-	var a scanArgs
-	o := uintptr(off) * 4
-	for i := 0; i < rule.NumDims; i++ {
-		// pLo/pHi are the order-permuted arena base pointers, resolved
-		// once per publish by pad(): a window scan is five pointer adds,
-		// not ten bounds-checked slice indexings. off < len ≤ cap keeps
-		// the arithmetic inside the backing arrays.
-		//repro:allow unsafealias -- alignment inherited from the arena base; the offset is slot*4, a multiple of the element size
-		a.lo[i] = (*uint32)(unsafe.Add(unsafe.Pointer(b.pLo[i]), o))
-		//repro:allow unsafealias -- alignment inherited from the arena base; the offset is slot*4, a multiple of the element size
-		a.hi[i] = (*uint32)(unsafe.Add(unsafe.Pointer(b.pHi[i]), o))
-		a.f[i] = f[b.order[i]]
+func (e *Engine) scanBlock(refs []leafRef, f [][rule.NumDims]uint32, out []int32) {
+	refs, f = refs[:len(out)], f[:len(out)] // the kernels trust len(out)
+	if e.kern == kernNative {
+		scanBlockASM(e.soa.words, e.ruleIDs, refs, f, out)
+		return
 	}
-	a.n = n
-	return scanWindowASM(&a)
+	for i := range out {
+		out[i] = -1
+		if s := e.soa.scanWindow(refs[i], &f[i]); s >= 0 {
+			out[i] = e.ruleIDs[s]
+		}
+	}
 }

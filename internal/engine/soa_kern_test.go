@@ -84,10 +84,13 @@ func TestKernelDispatch(t *testing.T) {
 
 // TestScanKernelsPatchedRace drives concurrent snapshot readers — on
 // every available kernel — against a live patch churn. Under -race this
-// pins the SIMD over-read contract: the kernels read up to soaPadSlots
-// past a snapshot's arena length, into pad slots the updater may
-// concurrently be appending to, and that must stay invisible (masked
-// lanes, uninstrumented reads) while the answers stay packet-exact.
+// pins the shared-tail-word contract: a patch fills lanes of the last
+// word of the arena while readers of older snapshots scan windows that
+// end in that word's published lanes. The portable kernel must read
+// only its window's lanes (the race detector watches it), the AVX2
+// kernel's whole-line loads must mask the rest, and the answers stay
+// packet-exact. One reader scans exactly the published lanes of its
+// snapshot's last word, the window no trace packet is sure to reach.
 func TestScanKernelsPatchedRace(t *testing.T) {
 	const seed = 31
 	rs := classbench.Generate(classbench.ACL1(), 500, seed)
@@ -100,19 +103,22 @@ func TestScanKernelsPatchedRace(t *testing.T) {
 	pool := classbench.Generate(classbench.FW1(), 256, seed+2)
 
 	stop := make(chan struct{})
+	stopped := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return false
+		}
+	}
 	var wg sync.WaitGroup
 	for _, k := range kernels() {
-		wg.Add(1)
+		wg.Add(2)
 		go func(kernel string) {
 			defer wg.Done()
 			out := make([]int32, len(trace))
 			want := make([]int32, len(trace))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for !stopped() {
 				e := h.Current().Engine()
 				ke, err := e.WithKernel(kernel)
 				if err != nil {
@@ -124,6 +130,28 @@ func TestScanKernelsPatchedRace(t *testing.T) {
 				for i := range out {
 					if out[i] != want[i] {
 						t.Errorf("kernel %s packet %d: got %d, AoS oracle %d", kernel, i, out[i], want[i])
+						return
+					}
+				}
+			}
+		}(k)
+		go func(kernel string) {
+			defer wg.Done()
+			for !stopped() {
+				e := h.Current().Engine()
+				ke, err := e.WithKernel(kernel)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				slots := int32(len(e.ruleIDs))
+				tail := leafRef{off: slots - slots%wordSlots, n: slots % wordSlots}
+				for _, p := range trace[:64] {
+					f := soaFields(p)
+					var got [1]int32
+					ke.scanBlock([]leafRef{tail}, [][rule.NumDims]uint32{f}, got[:])
+					if want := int32(e.aosScanLeaf(tail, &f)); got[0] != want {
+						t.Errorf("kernel %s tail window off=%d n=%d: got %d, AoS oracle %d", kernel, tail.off, tail.n, got[0], want)
 						return
 					}
 				}
@@ -170,7 +198,7 @@ func selectiveRule(id int, dim int, v uint32) rule.Rule {
 // TestOrderRecomputedOnRecompile pins the order lifecycle documented on
 // soaBank.order: patch churn appends windows under the stale
 // compile-time sweep order (by design), and the next recompile
-// re-measures selectivity over the then-current arenas and restores the
+// re-measures selectivity over the then-current arena and restores the
 // live ranking.
 func TestOrderRecomputedOnRecompile(t *testing.T) {
 	// Start with a ruleset selective only in dimension 0.
@@ -202,11 +230,11 @@ func TestOrderRecomputedOnRecompile(t *testing.T) {
 	if e.soa.order != orig {
 		t.Fatalf("patch churn changed the sweep order %v -> %v; patches must keep the stale order", orig, e.soa.order)
 	}
-	// The stale order is now wrong for the live arenas...
+	// The stale order is now wrong for the live arena...
 	live := e.soa
-	live.computeOrder()
+	live.computeOrder(len(e.ruleIDs))
 	if live.order[0] != 4 {
-		t.Fatalf("churned arenas rank dim %d first, want 4 (order %v) — test premise broken", live.order[0], live.order)
+		t.Fatalf("churned arena ranks dim %d first, want 4 (order %v) — test premise broken", live.order[0], live.order)
 	}
 	// ...and a recompile restores the live ranking.
 	tree.Relayout()
@@ -218,9 +246,12 @@ func TestOrderRecomputedOnRecompile(t *testing.T) {
 	checkScanIdentity(t, fresh, trace)
 }
 
-// TestSoaPad pins the over-read contract every publish point must
-// uphold: at least soaPadSlots of capacity slack past each arena's
-// length, on fresh compiles and across patch batches.
+// TestSoaPad pins what every publish point must leave past the pool's
+// last slot: the arena is a whole number of words and no longer than the
+// pool needs (the kernels' full-line loads stay inside it, and
+// engine_mem_bytes pays at most one partial word), every published slot
+// holds its rule's bounds, and on a fresh compile the unused lanes of
+// the last word hold bounds nothing matches.
 func TestSoaPad(t *testing.T) {
 	rs := classbench.Generate(classbench.ACL1(), 400, 3)
 	tree, err := core.Build(rs, core.DefaultConfig(core.HiCuts))
@@ -228,16 +259,18 @@ func TestSoaPad(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := Compile(tree)
-	checkPad := func(stage string, b *soaBank) {
-		t.Helper()
+	checkBank(t, e)
+	if len(e.ruleIDs)%wordSlots == 0 {
+		t.Fatalf("pool of %d slots ends on a word boundary — test premise broken", len(e.ruleIDs))
+	}
+	last := &e.soa.words[len(e.soa.words)-1]
+	for l := len(e.ruleIDs) % wordSlots; l < wordSlots; l++ {
 		for d := 0; d < rule.NumDims; d++ {
-			if cap(b.lo[d])-len(b.lo[d]) < soaPadSlots || cap(b.hi[d])-len(b.hi[d]) < soaPadSlots {
-				t.Fatalf("%s: dim %d arena slack lo=%d hi=%d, want >= %d",
-					stage, d, cap(b.lo[d])-len(b.lo[d]), cap(b.hi[d])-len(b.hi[d]), soaPadSlots)
+			if last[d][l] <= last[d][wordSlots+l] {
+				t.Fatalf("unused lane %d dim %d holds [%d,%d], want empty bounds", l, d, last[d][l], last[d][wordSlots+l])
 			}
 		}
 	}
-	checkPad("compile", &e.soa)
 	pool := classbench.Generate(classbench.FW1(), 64, 4)
 	for i := range pool {
 		r := pool[i]
@@ -249,7 +282,7 @@ func TestSoaPad(t *testing.T) {
 		if e, err = e.Patch(d); err != nil {
 			t.Fatal(err)
 		}
-		checkPad("patch", &e.soa)
+		checkBank(t, e)
 	}
 }
 
@@ -270,20 +303,26 @@ func edgeVal(a byte) uint32 {
 	}
 }
 
-// fuzzWindow decodes fuzz bytes into a comparator bank, a scan window
-// [off, off+n) within it, and a packet field vector. The byte scheme
-// (consumed in order, zero past the end):
+// fuzzWindow decodes fuzz bytes into an engine holding one rule per pool
+// slot, a scan window [off, off+n) of the pool, and a packet field
+// vector. The byte scheme (consumed in order, zero past the end):
 //
 //	[0]         total slots - 1 (mod 96)
-//	[1]         window offset (mod total) — exercises non-zero bases,
-//	            the shape the peel hands the kernels
+//	[1]         window offset (mod total) — with total it sets the
+//	            window's head lane and how many words it spans
 //	then per slot, per dimension: one byte 0xFF = wildcard slot-dim,
 //	otherwise that byte is the lo seed and one more byte the span seed
 //	(saturating), both through edgeVal
 //	then 5 bytes: packet fields through edgeVal
+//	then 1 byte: slots trimmed off the window's end (mod its length; 0 =
+//	            the window runs to the pool's end) — sets the tail lane
+//	then 1 byte: how many of the pool's last slots a patch appended
+//	            (mod total+1; 0 = one bulk build) — the rest of the bank
+//	            is built first, so the appended lanes land in a word
+//	            that already holds published ones
 //
-//repro:arena-writer test fixture: builds a private bank that is never published to a snapshot
-func fuzzWindow(data []byte) (b *soaBank, off, n int32, f [rule.NumDims]uint32) {
+//repro:arena-writer test fixture: builds a private engine that is never published to a snapshot
+func fuzzWindow(data []byte) (e *Engine, l leafRef, f [rule.NumDims]uint32) {
 	pos := 0
 	next := func() byte {
 		if pos >= len(data) {
@@ -293,16 +332,15 @@ func fuzzWindow(data []byte) (b *soaBank, off, n int32, f [rule.NumDims]uint32) 
 		pos++
 		return v
 	}
-	total := int32(1 + int(next())%96)
-	off = int32(int(next()) % int(total))
-	n = total - off
-	b = &soaBank{}
-	for i := int32(0); i < total; i++ {
+	total := 1 + int(next())%96
+	l.off = int32(int(next()) % total)
+	e = &Engine{rules: make([]flatRule, total), ruleIDs: make([]int32, total)}
+	for i := range e.rules {
+		e.ruleIDs[i] = int32(i)
 		for d := 0; d < rule.NumDims; d++ {
 			a := next()
 			if a == 0xFF {
-				b.lo[d] = append(b.lo[d], 0)
-				b.hi[d] = append(b.hi[d], ^uint32(0))
+				e.rules[i].hi[d] = ^uint32(0)
 				continue
 			}
 			lo := edgeVal(a)
@@ -310,66 +348,172 @@ func fuzzWindow(data []byte) (b *soaBank, off, n int32, f [rule.NumDims]uint32) 
 			if hi < lo {
 				hi = ^uint32(0)
 			}
-			b.lo[d] = append(b.lo[d], lo)
-			b.hi[d] = append(b.hi[d], hi)
+			e.rules[i].lo[d], e.rules[i].hi[d] = lo, hi
 		}
 	}
 	for d := 0; d < rule.NumDims; d++ {
 		f[d] = edgeVal(next())
 	}
-	b.computeOrder()
-	b.pad()
+	l.n = int32(total) - l.off
+	l.n -= int32(int(next()) % int(l.n))
+	built := total - int(next())%(total+1)
+	e.soa.build(e.rules, e.ruleIDs[:built])
+	e.soa.appendWindow(built, e.rules, e.ruleIDs[built:])
+	e.soa.computeOrder(total)
 	return
 }
 
-// FuzzScanKernels is the kernel equivalence fuzz: random windows and
-// packets through the scalar sweep, the mask-form scan, and the active
-// SIMD kernel must agree slot-for-slot with a one-comparator-at-a-time
-// model. The committed corpus (testdata/fuzz/FuzzScanKernels) covers the
-// peel boundaries (portable and native cutoffs), the block boundaries
-// (15/16/17 and 63/64/65 slots), and all-wildcard dimensions.
+// fuzzSeed encodes a fuzzWindow input: a pool of total slots whose
+// window [off, off+n) matches the packet in slot hit only (nowhere when
+// hit < 0; slots outside the window all match, so a kernel that lets a
+// masked lane through is caught), the last appended slots written by a
+// patch.
+func fuzzSeed(total, off, n, hit, appended int) []byte {
+	data := []byte{byte(total - 1), byte(off)}
+	for s := 0; s < total; s++ {
+		lo := byte(1) // [1, 1]: the packet's fields are all 0
+		if s == hit || s < off || s >= off+n {
+			lo = 0
+		}
+		for d := 0; d < rule.NumDims; d++ {
+			data = append(data, lo, 0)
+		}
+	}
+	data = append(data, 0, 0, 0, 0, 0) // fields
+	return append(data, byte(total-off-n), byte(appended))
+}
+
+// FuzzScanKernels is the kernel equivalence fuzz: on random windows and
+// packets every scan kernel must find the slot a one-comparator-at-a-time
+// model finds, and agree with the AoS scan. The generated seeds cover
+// every (head lane, length) pair up to three words — head and tail mask
+// on the same word, on adjacent words, with whole words between — each
+// with a hit in its last slot and with none, on a bulk-built bank and on
+// one whose last slots a patch appended. The committed corpus
+// (testdata/fuzz/FuzzScanKernels) adds windows on and around one, two,
+// three and eight whole words (8/9, 15-17, 24/25, 63-65 slots) and
+// all-wildcard dimensions.
 func FuzzScanKernels(f *testing.F) {
+	for off := 0; off < wordSlots; off++ {
+		for n := 1; n <= 2*wordSlots+1; n++ {
+			total := off + n + 3
+			f.Add(fuzzSeed(total, off, n, off+n-1, 0))
+			f.Add(fuzzSeed(total, off, n, -1, total-off))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, off, n, fields := fuzzWindow(data)
+		e, l, fields := fuzzWindow(data)
+		checkBank(t, e)
 
 		// One comparator at a time: the reference for everything below.
 		want := int32(-1)
-		for i := off; i < off+n; i++ {
+		for s := l.off; s < l.off+l.n && want < 0; s++ {
 			all := uint64(1)
 			for d := 0; d < rule.NumDims; d++ {
-				all &= rangeBit(fields[d], b.lo[d][i], b.hi[d][i])
+				all &= rangeBit(fields[d], e.rules[s].lo[d], e.rules[s].hi[d])
 			}
-			if all == 1 && want < 0 {
-				want = i - off
-			}
-		}
-
-		// sweep: slot-for-slot per dimension, over mask-width chunks.
-		for d := 0; d < rule.NumDims; d++ {
-			for base := off; base < off+n; base += 64 {
-				bl := off + n - base
-				if bl > 64 {
-					bl = 64
-				}
-				m := sweep(fields[d], b.lo[d][base:base+bl], b.hi[d][base:base+bl])
-				for j := int32(0); j < bl; j++ {
-					if (m>>uint(j))&1 != rangeBit(fields[d], b.lo[d][base+j], b.hi[d][base+j]) {
-						t.Fatalf("sweep dim %d slot %d: mask bit %d, comparator %d",
-							d, base+j, (m>>uint(j))&1, rangeBit(fields[d], b.lo[d][base+j], b.hi[d][base+j]))
-					}
-				}
+			if all == 1 {
+				want = s // rule IDs are slot numbers
 			}
 		}
-
-		if got := b.scan(off, n, &fields); got != want {
-			t.Fatalf("scan(off=%d, n=%d) = %d, want %d", off, n, got, want)
+		if got := int32(e.aosScanLeaf(l, &fields)); got != want {
+			t.Fatalf("aosScanLeaf(off=%d, n=%d) = %d, want %d", l.off, l.n, got, want)
 		}
-		if nativeKernelOK {
-			if got := b.scanSIMD(off, n, &fields); got != want {
-				t.Fatalf("scanSIMD(off=%d, n=%d) = %d, want %d (kernel %s)", off, n, got, want, nativeKernelName)
+		for _, ke := range withKernels(t, e) {
+			var got [1]int32
+			ke.scanBlock([]leafRef{l}, [][rule.NumDims]uint32{fields}, got[:])
+			if got[0] != want {
+				t.Fatalf("kernel %s scan(off=%d, n=%d) = %d, want %d", ke.Kernel(), l.off, l.n, got[0], want)
 			}
 		}
 	})
+}
+
+// handEngine builds an engine whose root has no cuts, so every packet
+// walks to the one leaf window l over a pool with one rule per slot.
+//
+//repro:arena-writer test fixture: builds a private engine that is never published to a snapshot
+func handEngine(rules []flatRule, l leafRef) *Engine {
+	e := &Engine{nodes: []node{{kidLen: 1}}, kids: []int32{^0}, rules: rules, kern: defaultKern}
+	for i := range rules {
+		e.ruleIDs = append(e.ruleIDs, int32(i))
+	}
+	e.setLeaves([]leafRef{l})
+	e.soa.build(e.rules, e.ruleIDs)
+	e.soa.computeOrder(len(e.ruleIDs))
+	return e
+}
+
+// TestScanEdgeCases runs the shapes a ladder of special cases used to
+// hide through both kernels: each row's packets must classify as
+// ClassifyAoS says, one at a time and as a batch.
+func TestScanEdgeCases(t *testing.T) {
+	// Rule i matches exactly the packets whose source port is i.
+	portRules := func(n int) []flatRule {
+		rules := make([]flatRule, n)
+		for i := range rules {
+			for d := 0; d < rule.NumDims; d++ {
+				rules[i].hi[d] = uint32(1)<<rule.DimBits[d] - 1
+			}
+			rules[i].lo[2], rules[i].hi[2] = uint32(i), uint32(i)
+		}
+		return rules
+	}
+	ports := func(n int) []rule.Packet {
+		pkts := make([]rule.Packet, n)
+		for i := range pkts {
+			pkts[i].SrcPort = uint16(i % 24)
+		}
+		return pkts
+	}
+	rs := classbench.Generate(classbench.ACL1(), 300, 17)
+	tree, err := core.Build(rs, core.DefaultConfig(core.HyperCuts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := Compile(tree)
+	trace := classbench.GenerateTrace(rs, 130, 18)
+
+	rows := []struct {
+		name string
+		e    *Engine
+		pkts []rule.Packet
+	}{
+		{"empty pool, nil bank", handEngine(nil, leafRef{}), ports(3)},
+		{"zero-length leaf", handEngine(portRules(13), leafRef{off: 5, n: 0}), ports(24)},
+		{"window inside one word", handEngine(portRules(13), leafRef{off: 2, n: 3}), ports(24)},
+		{"window of one whole word", handEngine(portRules(24), leafRef{off: 8, n: 8}), ports(24)},
+		{"window ending in the last partial word", handEngine(portRules(13), leafRef{off: 6, n: 7}), ports(24)},
+		{"no packets", compiled, nil},
+		{"one packet", compiled, trace[:1]},
+		{"one short of a block", compiled, trace[:blockLen-1]},
+		{"one block", compiled, trace[:blockLen]},
+		{"one past a block", compiled, trace[:blockLen+1]},
+		{"two blocks and two", compiled, trace[:2*blockLen+2]},
+	}
+	for _, row := range rows {
+		for _, ke := range withKernels(t, row.e) {
+			t.Run(row.name+"/"+ke.Kernel(), func(t *testing.T) {
+				want := make([]int32, len(row.pkts))
+				ke.ClassifyBatchAoS(row.pkts, want)
+				// One extra slot: a batch must not write past its packets.
+				got := make([]int32, len(row.pkts)+1)
+				got[len(row.pkts)] = -7
+				ke.ClassifyBatch(row.pkts, got[:len(row.pkts)])
+				if got[len(row.pkts)] != -7 {
+					t.Fatalf("ClassifyBatch wrote past its %d packets", len(row.pkts))
+				}
+				for i, p := range row.pkts {
+					if got[i] != want[i] {
+						t.Fatalf("packet %d: ClassifyBatch=%d ClassifyAoS=%d", i, got[i], want[i])
+					}
+					if one := ke.Classify(p); one != int(want[i]) {
+						t.Fatalf("packet %d: Classify=%d ClassifyAoS=%d", i, one, want[i])
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestResolveKernFallback pins the env-override degrade contract: an

@@ -1,6 +1,8 @@
-//go:build purego || (!amd64 && !arm64)
+//go:build purego || !amd64
 
 package engine
+
+import "repro/internal/rule"
 
 // nativeKernelName is empty: this build carries only the portable
 // kernel (either the purego tag forced it, or the architecture has no
@@ -11,9 +13,9 @@ const nativeKernelName = ""
 // detectNative reports no native kernel for this build.
 func detectNative() bool { return false }
 
-// scanWindowASM is unreachable in portable-only builds; the stub keeps
+// scanBlockASM is unreachable in portable-only builds; the stub keeps
 // the dispatch layer architecture-independent.
-func scanWindowASM(a *scanArgs) int32 {
+func scanBlockASM(words []bankWord, ids []int32, refs []leafRef, f [][rule.NumDims]uint32, out []int32) {
 	//repro:allow hotpath -- unreachable guard: kernFromName refuses "native" when nativeKernelName is empty
 	panic("engine: native scan kernel not available in this build")
 }

@@ -44,8 +44,8 @@ func runArenaAppend(pass *Pass) {
 
 	isArena := func(e ast.Expr) *types.Var {
 		// Walk down index/slice/paren chains to the base selector:
-		// e.soa.lo[d], b.hi[d][i:j], (e.kids)[k] all resolve to the
-		// underlying field.
+		// e.soa.words[g][d], b.words[i:j], (e.kids)[k] all resolve to
+		// the underlying field.
 		for {
 			switch x := e.(type) {
 			case *ast.IndexExpr:
@@ -62,7 +62,7 @@ func runArenaAppend(pass *Pass) {
 				if arenas[v] {
 					return v
 				}
-				// Nested path (e.soa.lo): keep descending — the leaf
+				// Nested path (e.soa.words): keep descending — the leaf
 				// field wasn't an arena but a parent selector can't be
 				// one either (arenas are slice/array fields), so stop.
 				return nil

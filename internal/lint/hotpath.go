@@ -34,8 +34,8 @@ var HotPathAnalyzer = &Analyzer{
 // Names are "Recv.Method" or "Func", keyed by package path.
 var requiredHotRoots = map[string][]string{
 	"repro/internal/engine": {
-		"Engine.Classify", "Engine.ClassifyBatch", "Engine.scanLeaf",
-		"soaBank.scanSIMD", "Handle.ClassifyBatchCached",
+		"Engine.Classify", "Engine.ClassifyBatch", "Engine.scanBlock",
+		"soaBank.scanWindow", "Handle.ClassifyBatchCached",
 	},
 	"repro/internal/flowcache": {"Cache.Probe", "Cache.ProbeBatch", "Cache.LookupBatch", "Cache.Insert"},
 	"repro/internal/wire":      {"Reader.ReadBatch"},
