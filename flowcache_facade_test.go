@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/rule"
+	"repro/internal/telemetry"
 )
 
 // TestAcceleratorFlowCacheExactUnderUpdates is the facade-level cache
@@ -110,8 +111,11 @@ func TestAcceleratorCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestAcceleratorInsertBatch: a burst lands as ONE epoch, with exact
-// semantics, and a bad rule mid-burst publishes the valid prefix.
+// TestAcceleratorInsertBatch: a burst lands as ONE patch — one epoch,
+// one cache invalidation — with exact semantics, and a bad rule mid-burst
+// publishes the valid prefix. "One patch" is read from the flight
+// recorder, not from Epoch(): a burst can trip a background recompile,
+// which publishes an epoch of its own whenever it finishes.
 func TestAcceleratorInsertBatch(t *testing.T) {
 	rs, err := GenerateRuleset("fw1", 200, 96)
 	if err != nil {
@@ -130,13 +134,29 @@ func TestAcceleratorInsertBatch(t *testing.T) {
 		burst[i].ID = len(rs) + i
 		full = append(full, burst[i])
 	}
-	e0 := acc.Epoch()
+	// patches lists the delta count of every patch_batch event so far.
+	patches := func() (deltas []int64) {
+		for _, ev := range acc.TelemetryEvents() {
+			if ev.Kind == telemetry.EvPatchBatch {
+				deltas = append(deltas, ev.V1)
+			}
+		}
+		return deltas
+	}
+	onePatch := func(what string, e0 uint64, before []int64, want int) {
+		t.Helper()
+		if got := patches()[len(before):]; len(got) != 1 || got[0] != int64(want) {
+			t.Fatalf("%s of %d landed as patches of %v deltas, want one patch of %d", what, want, got, want)
+		}
+		if e := acc.Epoch(); e < e0+1 {
+			t.Fatalf("%s left the epoch at %d (was %d)", what, e, e0)
+		}
+	}
+	e0, p0 := acc.Epoch(), patches()
 	if err := acc.InsertBatch(burst); err != nil {
 		t.Fatal(err)
 	}
-	if e := acc.Epoch(); e != e0+1 {
-		t.Fatalf("burst of %d advanced epoch %d -> %d, want one step", len(burst), e0, e)
-	}
+	onePatch("insert burst", e0, p0, len(burst))
 	trace := GenerateFlowTrace(full, 2500, 200, 8, 98)
 	for i, p := range trace {
 		if got, want := acc.Classify(p), full.Match(p); got != want {
@@ -146,13 +166,11 @@ func TestAcceleratorInsertBatch(t *testing.T) {
 
 	// DeleteBatch: one epoch for the whole burst.
 	ids := []int{len(rs), len(rs) + 1, len(rs) + 2}
-	e1 := acc.Epoch()
+	e1, p1 := acc.Epoch(), patches()
 	if err := acc.DeleteBatch(ids); err != nil {
 		t.Fatal(err)
 	}
-	if e := acc.Epoch(); e != e1+1 {
-		t.Fatalf("delete burst advanced epoch %d -> %d, want one step", e1, e)
-	}
+	onePatch("delete burst", e1, p1, len(ids))
 	for _, id := range ids {
 		full[id].F[rule.DimProto] = Range{Lo: 1, Hi: 0}
 	}

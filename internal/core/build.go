@@ -46,9 +46,7 @@ func Build(rs rule.RuleSet, cfg Config) (*Tree, error) {
 	root := b.build(ids, [rule.NumDims]int{}, [rule.NumDims]uint32{}, 0)
 	t := &Tree{Root: root, cfg: cfg, rules: rs, stats: b.stats}
 	t.ensureInternalRoot()
-	if err := t.layout(); err != nil {
-		return nil, err
-	}
+	t.layout()
 	t.buildNanos = int64(time.Since(buildStart))
 	return t, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -430,13 +431,90 @@ func TestLeafPointersCannotEncode(t *testing.T) {
 	}
 }
 
+// TestDeterministicBuild: two default builds of one ruleset are the same
+// tree, structurally, for both algorithms and both speeds.
 func TestDeterministicBuild(t *testing.T) {
 	rs := classbench.Generate(classbench.ACL1(), 300, 56)
-	a := buildOrDie(t, rs, DefaultConfig(HyperCuts))
-	b := buildOrDie(t, rs, DefaultConfig(HyperCuts))
-	if a.Stats() != b.Stats() || a.Words() != b.Words() {
-		t.Error("nondeterministic build")
+	for _, algo := range []Algorithm{HiCuts, HyperCuts} {
+		for _, speed := range []int{0, 1} {
+			cfg := DefaultConfig(algo)
+			cfg.Speed = speed
+			a, b := buildOrDie(t, rs, cfg), buildOrDie(t, rs, cfg)
+			ctx := algo.String() + " speed=" + strconv.Itoa(speed)
+			if a.Stats() != b.Stats() || a.Words() != b.Words() {
+				t.Errorf("%s: nondeterministic build", ctx)
+			}
+			assertSameLayout(t, ctx, a, b)
+		}
 	}
+}
+
+// assertSameLayout compares two trees structurally: breadth-first node
+// layout, cut headers, child references, leaf packing and rule lists.
+func assertSameLayout(t *testing.T, ctx string, a, b *Tree) {
+	t.Helper()
+	si, pi := a.Internals(), b.Internals()
+	if len(si) != len(pi) {
+		t.Errorf("%s: internal count %d != %d", ctx, len(si), len(pi))
+		return
+	}
+	for w := range si {
+		x, y := si[w], pi[w]
+		if x.Word != y.Word || len(x.Cuts) != len(y.Cuts) || len(x.Children) != len(y.Children) {
+			t.Errorf("%s: internal %d shape differs", ctx, w)
+			return
+		}
+		for i := range x.Cuts {
+			if x.Cuts[i] != y.Cuts[i] {
+				t.Errorf("%s: internal %d cut %d: %+v != %+v", ctx, w, i, x.Cuts[i], y.Cuts[i])
+				return
+			}
+		}
+		for i := range x.Children {
+			if !sameChildRef(x.Children[i], y.Children[i]) {
+				t.Errorf("%s: internal %d child %d differs", ctx, w, i)
+				return
+			}
+		}
+	}
+	sl, pl := a.Leaves(), b.Leaves()
+	if len(sl) != len(pl) {
+		t.Errorf("%s: leaf count %d != %d", ctx, len(sl), len(pl))
+		return
+	}
+	for i := range sl {
+		x, y := sl[i], pl[i]
+		if x.Word != y.Word || x.Pos != y.Pos {
+			t.Errorf("%s: leaf %d placed at %d.%d vs %d.%d", ctx, i, x.Word, x.Pos, y.Word, y.Pos)
+			return
+		}
+		if len(x.Rules) != len(y.Rules) {
+			t.Errorf("%s: leaf %d rule count %d != %d", ctx, i, len(x.Rules), len(y.Rules))
+			return
+		}
+		for j := range x.Rules {
+			if x.Rules[j] != y.Rules[j] {
+				t.Errorf("%s: leaf %d rule %d: %d != %d", ctx, i, j, x.Rules[j], y.Rules[j])
+				return
+			}
+		}
+	}
+}
+
+// sameChildRef compares child slots structurally: both nil, both the
+// leaf with identical layout position, or both the internal node with the
+// same word number (subtree contents are covered by the per-word loop).
+func sameChildRef(a, b *Node) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	if a == nil {
+		return true
+	}
+	if a.Leaf != b.Leaf {
+		return false
+	}
+	return a.Word == b.Word && a.Pos == b.Pos
 }
 
 func TestBitsHelpers(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // leaf storage packed according to the speed parameter (paper §3) — and
 // rebuilds the leaf identity maps incremental updates maintain. The
 // delta-apply path (Tree.applyDelta) refreshes only the leaf packing.
-func (t *Tree) layout() error { // error kept for future packing policies
+func (t *Tree) layout() {
 	t.internals = t.internals[:0]
 	t.leafOrder = t.leafOrder[:0]
 
@@ -53,7 +53,6 @@ func (t *Tree) layout() error { // error kept for future packing policies
 	}
 	t.rebuildOccupancy()
 	t.packLeaves()
-	return nil
 }
 
 // rebuildOccupancy reconstructs the rule→leaves index from a scan of the

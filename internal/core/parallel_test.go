@@ -49,72 +49,6 @@ func TestParallelBuildIdentical(t *testing.T) {
 	}
 }
 
-func assertSameLayout(t *testing.T, ctx string, seq, par *Tree) {
-	t.Helper()
-	si, pi := seq.Internals(), par.Internals()
-	if len(si) != len(pi) {
-		t.Errorf("%s: internal count %d != %d", ctx, len(si), len(pi))
-		return
-	}
-	for w := range si {
-		a, b := si[w], pi[w]
-		if a.Word != b.Word || len(a.Cuts) != len(b.Cuts) || len(a.Children) != len(b.Children) {
-			t.Errorf("%s: internal %d shape differs", ctx, w)
-			return
-		}
-		for i := range a.Cuts {
-			if a.Cuts[i] != b.Cuts[i] {
-				t.Errorf("%s: internal %d cut %d: %+v != %+v", ctx, w, i, a.Cuts[i], b.Cuts[i])
-				return
-			}
-		}
-		for i := range a.Children {
-			if !sameChildRef(a.Children[i], b.Children[i]) {
-				t.Errorf("%s: internal %d child %d differs", ctx, w, i)
-				return
-			}
-		}
-	}
-	sl, pl := seq.Leaves(), par.Leaves()
-	if len(sl) != len(pl) {
-		t.Errorf("%s: leaf count %d != %d", ctx, len(sl), len(pl))
-		return
-	}
-	for i := range sl {
-		a, b := sl[i], pl[i]
-		if a.Word != b.Word || a.Pos != b.Pos {
-			t.Errorf("%s: leaf %d placed at %d.%d vs %d.%d", ctx, i, a.Word, a.Pos, b.Word, b.Pos)
-			return
-		}
-		if len(a.Rules) != len(b.Rules) {
-			t.Errorf("%s: leaf %d rule count %d != %d", ctx, i, len(a.Rules), len(b.Rules))
-			return
-		}
-		for j := range a.Rules {
-			if a.Rules[j] != b.Rules[j] {
-				t.Errorf("%s: leaf %d rule %d: %d != %d", ctx, i, j, a.Rules[j], b.Rules[j])
-				return
-			}
-		}
-	}
-}
-
-// sameChildRef compares child slots structurally: both nil, both the
-// leaf with identical layout position, or both the internal node with the
-// same word number (subtree contents are covered by the per-word loop).
-func sameChildRef(a, b *Node) bool {
-	if (a == nil) != (b == nil) {
-		return false
-	}
-	if a == nil {
-		return true
-	}
-	if a.Leaf != b.Leaf {
-		return false
-	}
-	return a.Word == b.Word && a.Pos == b.Pos
-}
-
 // TestParallelBuildClassifies is a lighter end-to-end check at a larger
 // size: sequential and parallel trees classify a trace identically.
 func TestParallelBuildClassifies(t *testing.T) {

@@ -414,11 +414,7 @@ func mergeWordRanges(rs []WordRange) []WordRange {
 // fresh leaf packing. It invalidates all outstanding deltas — images must
 // be recompiled, not patched, across a Relayout. Callers use it when
 // Degradation crosses their rebuild threshold.
-func (t *Tree) Relayout() {
-	// layout's error return is reserved for future packing policies and
-	// is always nil today.
-	_ = t.layout()
-}
+func (t *Tree) Relayout() { t.layout() }
 
 // Orphans returns the number of leaves that lost their last reference to
 // incremental updates and await compaction by Relayout.

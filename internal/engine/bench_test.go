@@ -68,9 +68,10 @@ func BenchmarkEngineClassifyBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)*float64(len(trace))/b.Elapsed().Seconds(), "pkts/s")
 }
 
-// BenchmarkEngineParallelClassify shards the batch over all cores.
-func BenchmarkEngineParallelClassify(b *testing.B) {
+// BenchmarkClassifySharded shards the batch over all cores.
+func BenchmarkClassifySharded(b *testing.B) {
 	_, eng, trace := benchSetup(b, core.HyperCuts)
+	h := NewHandle(eng)
 	// A bigger batch so per-call fan-out cost amortizes.
 	big := make([]rule.Packet, 1<<16)
 	for i := range big {
@@ -80,7 +81,7 @@ func BenchmarkEngineParallelClassify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.ParallelClassify(big, out, 0)
+		h.ClassifySharded(big, out, runtime.GOMAXPROCS(0), noTail)
 	}
 	b.ReportMetric(float64(b.N)*float64(len(big))/b.Elapsed().Seconds(), "pkts/s")
 }

@@ -11,7 +11,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Stats reconciliation for the cached parallel path: the lock-free hit
+// Stats reconciliation for the cached sharded path: the lock-free hit
 // path defers all hit/miss accounting to one NoteLookups flush per
 // sub-batch, so an early exit or a lost flush anywhere in the
 // shard/re-probe protocol would silently undercount. These tests pin
@@ -22,6 +22,8 @@ import (
 //     packets the admission policy answered from the engine unprobed);
 //   - every miss walks the engine and repopulates: Inserts == Misses;
 //   - stale drops are a subset of misses: StaleEvictions <= Misses.
+
+func noTail(k, lo, hi int) {}
 
 func cacheStatsHandle(t *testing.T) (*Handle, *core.Tree, []rule.Packet) {
 	t.Helper()
@@ -54,8 +56,8 @@ func reconcile(t *testing.T, c *flowcache.Cache, presented uint64) {
 	}
 }
 
-// TestCacheStatsReconcileParallel drives ParallelClassifyCached across
-// worker counts and epoch bumps (inserts between batches) and checks the
+// TestCacheStatsReconcileParallel drives ClassifySharded across
+// shard counts and epoch bumps (inserts between batches) and checks the
 // totals equal the ground-truth probe counts, with results verified
 // against the uncached engine every round.
 func TestCacheStatsReconcileParallel(t *testing.T) {
@@ -65,8 +67,8 @@ func TestCacheStatsReconcileParallel(t *testing.T) {
 	want := make([]int32, len(trace))
 	var presented uint64
 	for round := 0; round < 12; round++ {
-		workers := []int{1, 2, 3, 8, 16}[round%5]
-		h.ParallelClassifyCached(trace, out, workers)
+		shards := []int{1, 2, 3, 8, 16}[round%5]
+		h.ClassifySharded(trace, out, shards, noTail)
 		presented += uint64(len(trace))
 		h.Current().Engine().ClassifyBatch(trace, want)
 		for i := range want {
@@ -91,7 +93,7 @@ func TestCacheStatsReconcileParallel(t *testing.T) {
 
 // TestCacheStatsReconcileConcurrent repeats the reconciliation with
 // several goroutines classifying through the shared cache at once
-// (mixing the batch and parallel paths), so torn seqlock reads, re-probe
+// (mixing the batch and sharded paths), so torn seqlock reads, re-probe
 // races and concurrent inserts all happen while the books are kept.
 func TestCacheStatsReconcileConcurrent(t *testing.T) {
 	h, _, trace := cacheStatsHandle(t)
@@ -107,7 +109,7 @@ func TestCacheStatsReconcileConcurrent(t *testing.T) {
 			out := make([]int32, len(trace))
 			for r := 0; r < rounds; r++ {
 				if g%2 == 0 {
-					h.ParallelClassifyCached(trace, out, 4)
+					h.ClassifySharded(trace, out, 4, noTail)
 				} else {
 					h.ClassifyBatchCached(trace, out)
 				}
@@ -121,7 +123,7 @@ func TestCacheStatsReconcileConcurrent(t *testing.T) {
 // TestCacheAdmissionDifferential forces the admission policy through four
 // mode flips — scatter traffic until the cache bypasses, a flow trace
 // until it resumes, twice — with an Apply (epoch bump: every entry stale)
-// between batches and ParallelClassifyCached at 1, 2 and 4 workers, and
+// between batches and ClassifySharded at 1, 2 and 4 shards, and
 // checks every answer against ClassifyAoS on the batch's snapshot. The
 // mode only selects which packets consult the cache, so no flip, bump or
 // interleaving may change an answer. A phase must flip within 4 windows
@@ -157,7 +159,7 @@ func TestCacheAdmissionDifferential(t *testing.T) {
 			}
 			s := h.Current()
 			pkts := trace[off : off+batch]
-			h.ParallelClassifyCached(pkts, out, []int{1, 2, 4}[batches%3])
+			h.ClassifySharded(pkts, out, []int{1, 2, 4}[batches%3], noTail)
 			presented += batch
 			// Another Apply cannot have landed: this goroutine is the updater.
 			for i, p := range pkts {

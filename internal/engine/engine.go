@@ -37,8 +37,8 @@
 // works in blocks of blockLen packets: it walks every packet of a block
 // to its leaf window first, then hands the whole block to the scan
 // kernel (soa_dispatch.go) in one call; Classify is the same kernel on
-// a block of one. Both perform zero allocations; ParallelClassify
-// shards a batch across cores for multi-Gbps software throughput.
+// a block of one. Both perform zero allocations. The one place a batch
+// is spread over cores is Handle.ClassifySharded (handle.go).
 //
 // Each Engine value is an immutable snapshot. Live updates do not mutate
 // it: core.Tree.InsertDelta/DeleteDelta produce structured deltas that
@@ -51,9 +51,6 @@
 package engine
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/core"
 	"repro/internal/rule"
 )
@@ -395,35 +392,6 @@ func (e *Engine) ClassifyBatchAoS(pkts []rule.Packet, out []int32) {
 	for i := range pkts {
 		out[i] = int32(e.ClassifyAoS(pkts[i]))
 	}
-}
-
-// ParallelClassify classifies pkts into out using up to workers
-// goroutines over contiguous shards (workers <= 0 selects GOMAXPROCS).
-// Aside from the per-call goroutine fan-out it allocates nothing; out
-// must be at least as long as pkts.
-func (e *Engine) ParallelClassify(pkts []rule.Packet, out []int32, workers int) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkts) {
-		workers = len(pkts)
-	}
-	if workers <= 1 {
-		e.ClassifyBatch(pkts, out)
-		return
-	}
-	_ = out[:len(pkts)]
-	chunk := (len(pkts) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for start := 0; start < len(pkts); start += chunk {
-		end := min(start+chunk, len(pkts))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			e.ClassifyBatch(pkts[lo:hi], out[lo:hi])
-		}(start, end)
-	}
-	wg.Wait()
 }
 
 // NumNodes returns the number of internal nodes in the flat image.

@@ -94,10 +94,10 @@ func TestClassifyBatchMatchesClassify(t *testing.T) {
 		}
 	}
 	par := make([]int32, len(pkts))
-	e.ParallelClassify(pkts, par, 4)
+	NewHandle(e).ClassifySharded(pkts, par, 4, noTail)
 	for i := range out {
 		if par[i] != out[i] {
-			t.Fatalf("pkt %d: parallel=%d batch=%d", i, par[i], out[i])
+			t.Fatalf("pkt %d: sharded=%d batch=%d", i, par[i], out[i])
 		}
 	}
 }

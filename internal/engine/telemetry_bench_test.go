@@ -63,6 +63,12 @@ func TestTelemetryZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Errorf("instrumented one-packet ClassifyBatchCached: %.2f allocs/op, want 0", avg)
 	}
+	// One shard is the sharded entry's whole cost on a one-core host.
+	if avg := testing.AllocsPerRun(50, func() {
+		h.ClassifySharded(trace, out, 1, noTail)
+	}); avg != 0 {
+		t.Errorf("instrumented one-shard ClassifySharded: %.2f allocs/op, want 0", avg)
+	}
 	h.EnableCache(8192)
 	h.ClassifyBatchCached(trace, out) // populate
 	if avg := testing.AllocsPerRun(50, func() {

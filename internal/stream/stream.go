@@ -1,7 +1,7 @@
 // Package stream is the line-rate ingest pipeline: it pulls packet
 // batches from a framed source (binary wire format, pcap capture, or the
 // legacy text trace as a compatibility shim), classifies them on the
-// epoch-snapshot engine via engine.Handle.ParallelClassifyCached, and
+// epoch-snapshot engine via engine.Handle.ClassifySharded, and
 // serializes result IDs — one decimal per line, the format the text
 // streamer always produced — without ever stalling the classify stage on
 // output.
@@ -16,12 +16,12 @@
 // A fixed ring of slots carries reused packet/result/output buffers
 // through three stages running on their own goroutines, so frame
 // decoding, classification and result serialization overlap. Within the
-// classify stage the batch is sharded across cores by
-// ParallelClassifyCached, and each core's results are formatted into its
-// own segment of the slot's per-core result ring — the writer drains the
-// segments in order, so output serialization never blocks a classify
-// worker. Steady state performs zero allocations per packet; the only
-// per-batch allocations are the goroutine fan-outs.
+// classify stage the batch is sharded across cores by ClassifySharded —
+// one goroutine wave per slot — and each shard, as soon as its range is
+// classified, formats its results into its own segment of the slot; the
+// writer drains the segments in order, so output serialization never
+// blocks a classify shard. Steady state performs zero allocations per
+// packet; the only per-batch allocations are that one fan-out's.
 package stream
 
 import (
@@ -60,7 +60,7 @@ type Stats struct {
 	// the process-wide heap-object allocation delta across the call
 	// (runtime/metrics, no stop-the-world). Exact when nothing else
 	// runs concurrently; steady-state ingest keeps it to a small
-	// per-batch constant (goroutine fan-out), so Allocs/Packets far
+	// per-batch constant (the shard fan-out), so Allocs/Packets far
 	// below 1 is the expected regime on every path.
 	Allocs int64
 	// Binary reports that the source was detected as binary-framed
@@ -88,14 +88,18 @@ type Stats struct {
 	Skipped int64
 }
 
-// slot is one ring entry: reused input, result and per-core output
+// slot is one ring entry: reused input, result and per-shard output
 // buffers plus the batch's read status.
 type slot struct {
 	pkts []rule.Packet
 	out  []int32
-	segs [][]byte // per-core formatted results (the writer-side ring)
-	n    int
-	err  error
+	segs [][]byte // shard k's formatted results, written in order
+	// encode is ClassifySharded's tail for this slot: shard k formats
+	// out[lo:hi] into segs[k]. Built once with the slot, so dispatching a
+	// batch allocates no closure.
+	encode func(k, lo, hi int)
+	n      int
+	err    error
 }
 
 // textSource adapts the legacy text trace format (rule.WriteTrace lines)
@@ -241,26 +245,12 @@ func Run(h *engine.Handle, r io.Reader, w io.Writer) (Stats, error) {
 	return st, err
 }
 
-// encWorkers is the per-slot result-segment count: every classify core
-// gets its own output ring segment. Capped so segment bookkeeping stays
-// trivial on very wide hosts.
-func encWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 16 {
-		w = 16
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // slotRing is the set of slots one pipeline run cycles through. Rings
 // are pooled across runs so a stream's fixed cost does not include
 // allocating (and faulting in) ~360 KiB of batch buffers.
 type slotRing struct {
-	slots   [slots]*slot
-	workers int
+	slots  [slots]*slot
+	shards int
 	// hist accumulates the run's per-batch classify+encode latency; it
 	// rides the pooled ring so a stream's fixed cost does not include
 	// allocating it, and is Reset at the start of every run.
@@ -269,20 +259,21 @@ type slotRing struct {
 
 var ringPool sync.Pool
 
-func getRing(workers int) *slotRing {
-	if r, _ := ringPool.Get().(*slotRing); r != nil && r.workers == workers {
+func getRing(shards int) *slotRing {
+	if r, _ := ringPool.Get().(*slotRing); r != nil && r.shards == shards {
 		return r
 	}
-	r := &slotRing{workers: workers}
+	r := &slotRing{shards: shards}
 	for i := range r.slots {
 		s := &slot{
 			pkts: make([]rule.Packet, BatchSize),
 			out:  make([]int32, BatchSize),
-			segs: make([][]byte, workers),
+			segs: make([][]byte, shards),
 		}
 		for k := range s.segs {
-			s.segs[k] = make([]byte, 0, 8*BatchSize/workers+16)
+			s.segs[k] = make([]byte, 0, 8*BatchSize/shards+16)
 		}
+		s.encode = func(k, lo, hi int) { s.segs[k] = appendIDs(s.segs[k], s.out[lo:hi]) }
 		r.slots[i] = s
 	}
 	return r
@@ -293,7 +284,6 @@ func getRing(workers int) *slotRing {
 // source or slots reference may be recycled by the caller.
 func run(h *engine.Handle, src wire.BatchReader, w io.Writer) (Stats, bool, error) {
 	var st Stats
-	workers := encWorkers()
 	free := make(chan *slot, slots)
 	work := make(chan *slot, slots)
 	// done holds fewer than all slots so a writer that falls behind is
@@ -312,7 +302,9 @@ func run(h *engine.Handle, src wire.BatchReader, w io.Writer) (Stats, bool, erro
 	// then the ring is simply left to the GC rather than joined on,
 	// since a blocking source must not delay the error return).
 	var exited atomic.Int32
-	ring := getRing(workers)
+	// A slot is classified and encoded in one shard, and so one segment,
+	// per core; capped so segment bookkeeping stays trivial on wide hosts.
+	ring := getRing(min(runtime.GOMAXPROCS(0), 16))
 	ring.hist.Reset()
 	for _, s := range ring.slots {
 		free <- s
@@ -361,16 +353,18 @@ func run(h *engine.Handle, src wire.BatchReader, w io.Writer) (Stats, bool, erro
 	}()
 
 	// Stage 2: classification + result formatting. One goroutine keeps
-	// slot order; parallelism lives inside ParallelClassifyCached and
-	// the per-core segment encoders.
+	// slot order; parallelism lives inside ClassifySharded, whose shards
+	// each encode their own range into their own segment.
 	go func() {
 		defer close(done)
 		defer exited.Add(1)
 		for s := range work {
 			if s.err == nil && s.n > 0 {
 				start := time.Now()
-				h.ParallelClassifyCached(s.pkts[:s.n], s.out[:s.n], 0)
-				encodeSegments(s, workers)
+				for k := range s.segs {
+					s.segs[k] = s.segs[k][:0] // a short batch fills fewer shards
+				}
+				h.ClassifySharded(s.pkts[:s.n], s.out[:s.n], len(s.segs), s.encode)
 				ns := int64(time.Since(start))
 				ring.hist.Observe(ns)
 				if tel != nil {
@@ -452,36 +446,6 @@ func run(h *engine.Handle, src wire.BatchReader, w io.Writer) (Stats, bool, erro
 	bw.Reset(nil)
 	bwPool.Put(bw)
 	return st, safe, firstErr
-}
-
-// encodeSegments formats the slot's result IDs into its per-core
-// segments: worker k owns one contiguous chunk of the batch and appends
-// "id\n" lines into its own reused buffer, so no two cores share an
-// output buffer and the writer can emit segments in order.
-func encodeSegments(s *slot, workers int) {
-	n := s.n
-	for k := range s.segs {
-		s.segs[k] = s.segs[k][:0]
-	}
-	if workers <= 1 || n < 2*BatchSize/slots {
-		s.segs[0] = appendIDs(s.segs[0], s.out[:n])
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		lo := k * chunk
-		if lo >= n {
-			break
-		}
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(k, lo, hi int) {
-			defer wg.Done()
-			s.segs[k] = appendIDs(s.segs[k], s.out[lo:hi])
-		}(k, lo, hi)
-	}
-	wg.Wait()
 }
 
 //repro:hotpath

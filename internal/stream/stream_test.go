@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -53,13 +54,17 @@ func encodePcap(t testing.TB, trace []rule.Packet) []byte {
 	return buf.Bytes()
 }
 
-// TestRunFormatsAgree pins the tentpole invariant: the same trace fed as
-// text lines, binary frames, or a pcap capture produces byte-identical
-// result streams, all matching a direct ClassifyBatch oracle.
+// TestRunFormatsAgree pins the pipeline's invariant: the same trace fed
+// as text lines, binary frames, or a pcap capture produces byte-identical
+// result streams, all matching a serial ClassifyBatch oracle — at every
+// shard count (GOMAXPROCS 1, 2, 4: one shard inline, and fan-outs whose
+// shards do and do not divide the batch) and at lengths around the batch
+// boundaries, longest first: the pooled ring then hands each run's short
+// last slot the segments a full batch filled in the run before.
 func TestRunFormatsAgree(t *testing.T) {
 	h, rs := testHandle(t, 200)
 	// TCP/UDP with zero fragments so the pcap encoding is lossless.
-	trace := classbench.GenerateTrace(rs, 3*BatchSize+57, 43)
+	trace := classbench.GenerateTrace(rs, 3*BatchSize+5, 43)
 	for i := range trace {
 		if i%2 == 0 {
 			trace[i].Proto = 6
@@ -70,37 +75,41 @@ func TestRunFormatsAgree(t *testing.T) {
 	want := make([]int32, len(trace))
 	h.Current().Engine().ClassifyBatch(trace, want)
 	var oracle bytes.Buffer
-	for _, id := range want {
+	end := make([]int, len(trace)+1) // end[n]: oracle bytes of the first n answers
+	for i, id := range want {
 		fmt.Fprintf(&oracle, "%d\n", id)
+		end[i+1] = oracle.Len()
 	}
 
 	cases := map[string]struct {
-		data   []byte
+		encode func(testing.TB, []rule.Packet) []byte
 		binary bool
 	}{
-		"text":   {encodeText(t, trace), false},
-		"binary": {encodeBinary(t, trace), true},
-		"pcap":   {encodePcap(t, trace), true},
+		"text":   {encodeText, false},
+		"binary": {encodeBinary, true},
+		"pcap":   {encodePcap, true},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			var out bytes.Buffer
-			st, err := Run(h, bytes.NewReader(tc.data), &out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Packets != int64(len(trace)) {
-				t.Fatalf("Packets = %d, want %d", st.Packets, len(trace))
-			}
-			wantBatches := int64((len(trace) + BatchSize - 1) / BatchSize)
-			if st.Batches != wantBatches {
-				t.Fatalf("Batches = %d, want %d", st.Batches, wantBatches)
-			}
-			if st.Binary != tc.binary {
-				t.Fatalf("Binary = %v, want %v", st.Binary, tc.binary)
-			}
-			if !bytes.Equal(out.Bytes(), oracle.Bytes()) {
-				t.Fatal("result stream differs from ClassifyBatch oracle")
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				for _, n := range []int{len(trace), BatchSize + 1, BatchSize, BatchSize / 2, BatchSize/2 - 1, 1} {
+					var out bytes.Buffer
+					st, err := Run(h, bytes.NewReader(tc.encode(t, trace[:n])), &out)
+					if err != nil {
+						t.Fatalf("GOMAXPROCS %d, %d packets: %v", procs, n, err)
+					}
+					if wantBatches := int64((n + BatchSize - 1) / BatchSize); st.Packets != int64(n) || st.Batches != wantBatches {
+						t.Fatalf("GOMAXPROCS %d: Packets = %d, Batches = %d, want %d, %d", procs, st.Packets, st.Batches, n, wantBatches)
+					}
+					if st.Binary != tc.binary {
+						t.Fatalf("Binary = %v, want %v", st.Binary, tc.binary)
+					}
+					if !bytes.Equal(out.Bytes(), oracle.Bytes()[:end[n]]) {
+						t.Fatalf("GOMAXPROCS %d, %d packets: result stream differs from the serial oracle", procs, n)
+					}
+				}
 			}
 		})
 	}
@@ -268,7 +277,7 @@ func TestDetect(t *testing.T) {
 // TestStreamAllocsPerPacket is the pipeline-level allocation gate: the
 // per-packet malloc rate on the binary path must stay far below one —
 // buffers are reused across batches, so steady state is O(1) allocs per
-// batch (goroutine fan-out), not per packet.
+// batch (the shard fan-out), not per packet.
 func TestStreamAllocsPerPacket(t *testing.T) {
 	h, rs := testHandle(t, 100)
 	trace := classbench.GenerateTrace(rs, 8*BatchSize, 67)

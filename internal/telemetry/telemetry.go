@@ -1,6 +1,6 @@
 // Package telemetry is the flight recorder for the classification
 // plane: a zero-allocation metrics core (atomic counters and gauges plus
-// sharded log2-bucket latency histograms) and a fixed-size ring of
+// log2-bucket latency histograms) and a fixed-size ring of
 // structured lifecycle events, with an optional HTTP exposition plane
 // (Prometheus text format on /metrics, the event ring on /debug/events,
 // and net/http/pprof).
@@ -14,10 +14,9 @@
 //
 //   - counters and gauges are single atomic words (one LOCK ADD per
 //     batch, never per packet);
-//   - histograms observe into per-core-ish shards (the observing
-//     goroutine's stack page picks the shard), so concurrent observers
-//     do not serialize on one cache line; shards are merged only at
-//     snapshot/scrape time;
+//   - a histogram observe is three atomic adds, and observers arrive
+//     once per batch, build or update, never per packet, so one set of
+//     words serves them all;
 //   - the event ring records control-plane lifecycle transitions (epoch
 //     publishes, recompiles, degradation trips — tens per second at
 //     most), never data-plane packets, so a mutex there costs nothing
@@ -30,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // Counter is a monotonically increasing atomic counter. The zero value
@@ -61,28 +59,15 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // non-positive or sub-nanosecond observations). 48 buckets reach 2^47 ns
 // ≈ 39 hours, far beyond any latency this system produces, so the last
 // bucket never saturates in practice but still catches pathologies.
-const (
-	// HistBuckets is the number of log2 latency buckets.
-	HistBuckets = 48
-	// histShards spreads concurrent observers over independent
-	// accumulator lines; must be a power of two.
-	histShards = 8
-)
+// HistBuckets is the number of log2 latency buckets.
+const HistBuckets = 48
 
-// histShard is one accumulator stripe. The pad keeps adjacent shards'
-// hottest words (count/sum plus the low buckets) off one cache line.
-type histShard struct {
+// Hist is a concurrent log2-bucket latency histogram. Observe is
+// lock-free and allocation-free. The zero value is ready to use.
+type Hist struct {
 	count  atomic.Uint64
 	sum    atomic.Uint64 // total observed nanoseconds
 	bucket [HistBuckets]atomic.Uint64
-	_      [64]byte
-}
-
-// Hist is a concurrent log2-bucket latency histogram. Observe is
-// lock-free and allocation-free; Snapshot merges the shards. The zero
-// value is ready to use.
-type Hist struct {
-	shards [histShards]histShard
 }
 
 // histBucket maps a nanosecond value to its log2 bucket.
@@ -97,55 +82,38 @@ func histBucket(nanos int64) int {
 	return b
 }
 
-// Observe records one latency sample of nanos nanoseconds. The shard is
-// picked from the observing goroutine's stack page: goroutines live on
-// distinct stacks, so concurrent observers land on distinct shards with
-// high probability without any runtime hook or per-observation RMW on a
-// shared line. A goroutine whose stack moves simply changes shard —
-// harmless, the merge is a sum.
-//
-//repro:unsafe-shape hashes the probe's stack address into a shard index; the pointer is never dereferenced
+// Observe records one latency sample of nanos nanoseconds.
 func (h *Hist) Observe(nanos int64) {
-	var probe byte
-	s := &h.shards[(uintptr(unsafe.Pointer(&probe))>>10)&(histShards-1)]
-	s.count.Add(1)
-	s.sum.Add(uint64(nanos))
-	s.bucket[histBucket(nanos)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(uint64(nanos))
+	h.bucket[histBucket(nanos)].Add(1)
 }
 
-// Reset zeroes every shard. Not atomic with respect to concurrent
+// Reset zeroes the histogram. Not atomic with respect to concurrent
 // observers; intended for pooled single-writer uses (the stream
 // pipeline's per-run histogram).
 func (h *Hist) Reset() {
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.count.Store(0)
-		s.sum.Store(0)
-		for b := range s.bucket {
-			s.bucket[b].Store(0)
-		}
+	h.count.Store(0)
+	h.sum.Store(0)
+	for b := range h.bucket {
+		h.bucket[b].Store(0)
 	}
 }
 
-// HistSnapshot is a merged point-in-time view of a Hist.
+// HistSnapshot is a point-in-time view of a Hist.
 type HistSnapshot struct {
 	Count  uint64
 	SumNs  uint64
 	Bucket [HistBuckets]uint64
 }
 
-// Snapshot merges the shards. Under concurrent observers the result is
+// Snapshot reads the histogram. Under concurrent observers the result is
 // approximate (buckets may be one observation ahead of the count) but
 // every individual word is consistent.
 func (h *Hist) Snapshot() HistSnapshot {
-	var s HistSnapshot
-	for i := range h.shards {
-		sh := &h.shards[i]
-		s.Count += sh.count.Load()
-		s.SumNs += sh.sum.Load()
-		for b := range sh.bucket {
-			s.Bucket[b] += sh.bucket[b].Load()
-		}
+	s := HistSnapshot{Count: h.count.Load(), SumNs: h.sum.Load()}
+	for b := range h.bucket {
+		s.Bucket[b] = h.bucket[b].Load()
 	}
 	return s
 }

@@ -83,9 +83,8 @@ func TestHistSnapshotAndQuantile(t *testing.T) {
 	}
 }
 
-// Concurrent observers from many goroutines (distinct stacks, so they
-// exercise the shard spreading): the merged snapshot must account for
-// every observation exactly once. Run under -race in CI.
+// Concurrent observers from many goroutines: the snapshot must account
+// for every observation exactly once. Run under -race in CI.
 func TestHistConcurrentObservers(t *testing.T) {
 	var h Hist
 	const goroutines, perG = 16, 5000

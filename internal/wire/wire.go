@@ -31,6 +31,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -135,6 +136,23 @@ func (rd *Reader) Reset(r io.Reader) {
 // avail returns the unconsumed byte count.
 func (rd *Reader) avail() int { return rd.hi - rd.lo }
 
+// malformed builds the error that ends a stream whose framing is broken:
+// "wire: " and format over its integer operands; truncated wraps
+// io.ErrUnexpectedEOF, which callers test for.
+//
+//repro:coldpath an error that ends the stream: at most once per Reader, never per record
+func malformed(truncated bool, format string, operands ...int64) error {
+	args := make([]any, len(operands))
+	for i, v := range operands {
+		args[i] = v
+	}
+	msg := "wire: " + fmt.Sprintf(format, args...)
+	if truncated {
+		return fmt.Errorf("%s: %w", msg, io.ErrUnexpectedEOF)
+	}
+	return errors.New(msg)
+}
+
 // fill ensures at least need unconsumed bytes are buffered, compacting
 // and reading as required. It returns io.ErrUnexpectedEOF if the stream
 // ends first (the caller is mid-header or mid-frame).
@@ -149,8 +167,7 @@ func (rd *Reader) fill(need int) error {
 		return rd.err
 	}
 	if need > len(rd.buf) {
-		//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
-		return fmt.Errorf("wire: need %d buffered bytes, buffer holds %d", need, len(rd.buf))
+		return malformed(false, "need %d buffered bytes, buffer holds %d", int64(need), int64(len(rd.buf)))
 	}
 	if rd.lo > 0 && len(rd.buf)-rd.lo < need {
 		copy(rd.buf, rd.buf[rd.lo:rd.hi])
@@ -183,29 +200,26 @@ func (rd *Reader) fill(need int) error {
 }
 
 // header consumes and validates the stream header.
+//
+//repro:coldpath runs once per stream, before the first record is decoded
 func (rd *Reader) header() error {
 	if err := rd.fill(HeaderBytes); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
 			return fmt.Errorf("wire: truncated stream header: %w", io.ErrUnexpectedEOF)
 		}
 		return err
 	}
 	h := rd.buf[rd.lo : rd.lo+HeaderBytes]
 	if !IsMagic(h) {
-		//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
 		return fmt.Errorf("wire: bad magic %q (not a binary trace)", h[:4])
 	}
 	if h[4] != Version {
-		//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
 		return fmt.Errorf("wire: unsupported version %d (reader speaks %d)", h[4], Version)
 	}
 	if h[5] != RecordBytes {
-		//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
 		return fmt.Errorf("wire: record size %d, want %d", h[5], RecordBytes)
 	}
 	if flags := binary.LittleEndian.Uint16(h[6:8]); flags != 0 {
-		//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
 		return fmt.Errorf("wire: unknown header flags %#x", flags)
 	}
 	rd.lo += HeaderBytes
@@ -218,24 +232,20 @@ func (rd *Reader) header() error {
 func (rd *Reader) frameHeader() error {
 	if err := rd.fill(FrameHeaderBytes); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
-			return fmt.Errorf("wire: truncated frame header: %w", err)
+			return malformed(true, "truncated frame header")
 		}
 		return err
 	}
 	h := rd.buf[rd.lo : rd.lo+FrameHeaderBytes]
 	if h[0] != frameMarker0 || h[1] != frameMarker1 {
-		//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
-		return fmt.Errorf("wire: bad frame marker %#02x%02x at stream offset", h[0], h[1])
+		return malformed(false, "bad frame marker %#02x%02x at stream offset", int64(h[0]), int64(h[1]))
 	}
 	count := int(binary.LittleEndian.Uint16(h[2:4]))
 	if count == 0 {
-		//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
-		return fmt.Errorf("wire: empty frame")
+		return malformed(false, "empty frame")
 	}
 	if reserved := binary.LittleEndian.Uint32(h[4:8]); reserved != 0 {
-		//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
-		return fmt.Errorf("wire: nonzero reserved frame field %#x", reserved)
+		return malformed(false, "nonzero reserved frame field %#x", int64(reserved))
 	}
 	rd.lo += FrameHeaderBytes
 	rd.rem = count
@@ -252,12 +262,7 @@ func (rd *Reader) ReadBatch(pkts []rule.Packet) (int, error) {
 	}
 	if !rd.started {
 		if err := rd.header(); err != nil {
-			if err == io.EOF {
-				// A totally empty stream has no header: malformed.
-				//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
-				return 0, fmt.Errorf("wire: empty stream: %w", io.ErrUnexpectedEOF)
-			}
-			return 0, err
+			return 0, err // never io.EOF: an empty stream has no header and is malformed
 		}
 	}
 	n := 0
@@ -280,8 +285,7 @@ func (rd *Reader) ReadBatch(pkts []rule.Packet) (int, error) {
 		if have == 0 {
 			if err := rd.fill(RecordBytes); err != nil {
 				if err == io.ErrUnexpectedEOF || err == io.EOF {
-					//repro:allow hotpath -- cold error exit: fires at most once on malformed input, never on the per-record path
-					return n, fmt.Errorf("wire: truncated record (frame has %d more): %w", rd.rem, io.ErrUnexpectedEOF)
+					return n, malformed(true, "truncated record (frame has %d more)", int64(rd.rem))
 				}
 				return n, err
 			}

@@ -18,8 +18,9 @@
 //     (Config.CacheSize, CacheStats) that keeps cached answers
 //     packet-exact under live updates;
 //   - compare against the software baselines the paper uses
-//     (NewSoftwareBaseline);
-//   - regenerate every evaluation table (WriteAllTables).
+//     (NewSoftwareBaseline, repro_software.go).
+//
+// The paper's evaluation tables are regenerated by cmd/pctables.
 //
 // An Accelerator keeps the paper's §4 machines apart. The data plane
 // (ClassifyBatch, ClassifyStream, SoftwareEngine, SaveImage, telemetry)
@@ -38,17 +39,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/classbench"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/flowcache"
-	"repro/internal/hicuts"
 	"repro/internal/hwsim"
-	"repro/internal/hypercuts"
-	"repro/internal/linear"
 	"repro/internal/rule"
-	"repro/internal/sa1100"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
@@ -878,24 +874,6 @@ func (a *Accelerator) DeviceWriteCycles() int64 {
 	return a.dev.writeCycles()
 }
 
-// Engine is the flat software classification engine: the accelerator's
-// search structure compiled into contiguous pointer-free arrays (see
-// internal/engine). Classify and ClassifyBatch allocate nothing per
-// packet; all methods are safe for concurrent use. The engine is one
-// epoch's immutable snapshot — updates applied through the accelerator
-// afterwards do not change it; call SoftwareEngine again (or use
-// ClassifyStream, which follows epochs automatically) to observe them.
-type Engine struct {
-	e *engine.Engine
-}
-
-// SoftwareEngine returns the current epoch's flat host-CPU engine, the
-// production software fast path. It is an O(1) snapshot capture, not a
-// recompile.
-func (a *Accelerator) SoftwareEngine() *Engine {
-	return &Engine{e: a.handle.Current().Engine()}
-}
-
 // StreamBatch is the number of packets ClassifyStream classifies per
 // engine-shard dispatch (and the granularity at which it observes
 // concurrent rule updates).
@@ -939,95 +917,4 @@ func (a *Accelerator) ClassifyStream(r io.Reader, w io.Writer) (int64, error) {
 // ingest regressions are measurable in production and in tests.
 func (a *Accelerator) ClassifyStreamStats(r io.Reader, w io.Writer) (StreamStats, error) {
 	return stream.Run(a.handle, r, w)
-}
-
-// Classify returns the highest-priority matching rule ID for p, or -1.
-func (e *Engine) Classify(p Packet) int { return e.e.Classify(p) }
-
-// ClassifyBatch classifies pkts[i] into out[i] with zero allocations; out
-// must be at least as long as pkts.
-func (e *Engine) ClassifyBatch(pkts []Packet, out []int32) { e.e.ClassifyBatch(pkts, out) }
-
-// ParallelClassify shards the batch over up to workers goroutines
-// (workers <= 0 selects GOMAXPROCS).
-func (e *Engine) ParallelClassify(pkts []Packet, out []int32, workers int) {
-	e.e.ParallelClassify(pkts, out, workers)
-}
-
-// MemoryBytes is the engine's flat-image footprint.
-func (e *Engine) MemoryBytes() int { return e.e.MemoryBytes() }
-
-// SoftwareBaseline is one of the paper's software comparison points
-// running on the modelled StrongARM SA-1100.
-type SoftwareBaseline struct {
-	name string
-	c    sa1100.TracedClassifier
-}
-
-// NewSoftwareBaseline builds a software classifier: "hicuts", "hypercuts"
-// or "linear".
-func NewSoftwareBaseline(kind string, rs RuleSet) (*SoftwareBaseline, error) {
-	switch kind {
-	case "hicuts":
-		t, err := hicuts.Build(rs, hicuts.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &SoftwareBaseline{kind, t}, nil
-	case "hypercuts":
-		t, err := hypercuts.Build(rs, hypercuts.DefaultConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &SoftwareBaseline{kind, t}, nil
-	case "linear":
-		return &SoftwareBaseline{kind, linear.New(rs)}, nil
-	}
-	return nil, fmt.Errorf("repro: unknown baseline %q (want hicuts, hypercuts or linear)", kind)
-}
-
-// Name returns the baseline's kind.
-func (s *SoftwareBaseline) Name() string { return s.name }
-
-// Classify returns the matching rule ID or -1.
-func (s *SoftwareBaseline) Classify(p Packet) int {
-	m, _ := s.c.ClassifyTraced(p, nil)
-	return m
-}
-
-// Measure runs the trace on the SA-1100 cost model, returning throughput
-// and energy statistics comparable with Accelerator.Run.
-func (s *SoftwareBaseline) Measure(trace []Packet) sa1100.ClassStats {
-	return sa1100.MeasureClassification(s.c, trace, sa1100.DefaultCosts())
-}
-
-// WriteAllTables regenerates every evaluation table of the paper (Tables
-// 2-8 plus the §5.2/§5.3 headline claims) and writes them to w. Options
-// zero value uses the paper's sizes; see internal/bench for knobs.
-func WriteAllTables(w io.Writer, opts bench.Options) error {
-	rows, err := bench.RunACL1(opts)
-	if err != nil {
-		return err
-	}
-	for _, t := range []*bench.Table{
-		bench.Table2(rows), bench.Table3(rows), bench.Table5(),
-		bench.Table6(rows), bench.Table7(rows), bench.Table8(rows),
-	} {
-		if _, err := fmt.Fprintln(w, t.Format()); err != nil {
-			return err
-		}
-	}
-	t4, err := bench.RunTable4(opts)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, bench.Table4(t4).Format()); err != nil {
-		return err
-	}
-	cl, err := bench.RunClaims(opts)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, bench.ClaimsTable(cl).Format())
-	return err
 }

@@ -1,12 +1,6 @@
 package repro
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-
-	"repro/internal/bench"
-)
+import "testing"
 
 func TestFacadeEndToEnd(t *testing.T) {
 	rs, err := GenerateRuleset("acl1", 300, 5)
@@ -118,20 +112,6 @@ func TestFacadeSpeedKnob(t *testing.T) {
 	}
 }
 
-func TestWriteAllTables(t *testing.T) {
-	var buf bytes.Buffer
-	opts := bench.Options{Seed: 7, Sizes: []int{60, 150}, Table4Sizes: []int{300}, TracePackets: 1500}
-	if err := WriteAllTables(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Table 2", "Table 3", "Table 4", "Table 5", "Table 6", "Table 7", "Table 8", "Headline"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-}
-
 func TestFacadeSoftwareEngine(t *testing.T) {
 	rs, err := GenerateRuleset("acl1", 400, 7)
 	if err != nil {
@@ -149,14 +129,14 @@ func TestFacadeSoftwareEngine(t *testing.T) {
 	out := make([]int32, len(trace))
 	eng.ClassifyBatch(trace, out)
 	par := make([]int32, len(trace))
-	eng.ParallelClassify(trace, par, 0)
+	acc.handle.ClassifySharded(trace, par, 4, func(k, lo, hi int) {})
 	for i, p := range trace {
 		want := acc.Classify(p)
 		if got := eng.Classify(p); got != want {
 			t.Fatalf("pkt %d: engine=%d accelerator=%d", i, got, want)
 		}
 		if int(out[i]) != want || int(par[i]) != want {
-			t.Fatalf("pkt %d: batch=%d parallel=%d accelerator=%d", i, out[i], par[i], want)
+			t.Fatalf("pkt %d: batch=%d sharded=%d accelerator=%d", i, out[i], par[i], want)
 		}
 	}
 }
