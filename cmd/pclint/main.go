@@ -1,5 +1,5 @@
 // pclint is the repo's invariant checker: the internal/lint analyzer
-// suite (hotpath, atomicfunc, arenaappend, unsafealias, reproallow)
+// suite (hotpath, atomicfunc, reproallow)
 // run over the packages its arguments name.
 //
 //	pclint ./...

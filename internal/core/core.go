@@ -268,9 +268,6 @@ type Tree struct {
 // produced this tree, in nanoseconds.
 func (t *Tree) BuildNanos() int64 { return t.buildNanos }
 
-// Config returns the build configuration.
-func (t *Tree) Config() Config { return t.cfg }
-
 // Stats returns build statistics.
 func (t *Tree) Stats() BuildStats { return t.stats }
 

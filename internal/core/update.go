@@ -13,7 +13,7 @@ import (
 // plane processor to use when updating").
 //
 // The control-plane model implemented here mirrors that description: the
-// logical tree is the off-chip copy; Insert and Delete modify the leaves
+// logical tree is the off-chip copy; an insert or delete modifies the leaves
 // the rule overlaps without re-cutting, and the change is captured as a
 // structured Delta (leaf edits + child-slot repointings) that loaded
 // images replay via engine.Patch instead of recompiling. Only the leaf
@@ -22,13 +22,6 @@ import (
 // Binth, unshared leaves orphan their originals), so Degradation reports
 // how far the structure has drifted and callers trigger Relayout plus a
 // full recompile when it exceeds their threshold.
-
-// Insert adds r to the tree. It is InsertDelta with the delta discarded —
-// callers that maintain a compiled image want InsertDelta.
-func (t *Tree) Insert(r rule.Rule) error {
-	_, err := t.InsertDelta(r)
-	return err
-}
 
 // InsertDelta adds r to the tree and returns the structured delta the
 // update makes to the laid-out image. The rule's ID must extend the
@@ -172,13 +165,6 @@ func (t *Tree) insertInto(n *Node, r *rule.Rule, prefixLen [rule.NumDims]int, pr
 		}
 		t.insertInto(c, r, childLen, childVal, d)
 	})
-}
-
-// Delete removes the rule with the given ID. It is DeleteDelta with the
-// delta discarded.
-func (t *Tree) Delete(id int) error {
-	_, err := t.DeleteDelta(id)
-	return err
 }
 
 // DeleteDelta removes the rule with the given ID from every live leaf and

@@ -19,7 +19,7 @@ func TestInsertThenClassify(t *testing.T) {
 	for i := range extra {
 		r := extra[i]
 		r.ID = len(full)
-		if err := tr.Insert(r); err != nil {
+		if _, err := tr.InsertDelta(r); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
 		full = append(full, r)
@@ -49,11 +49,11 @@ func TestInsertRejectsBadID(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rule.New(7, 0, 0, 0, 0, rule.FullRange(rule.DimSrcPort), rule.FullRange(rule.DimDstPort), 0, true)
-	if err := tr.Insert(r); err == nil {
+	if _, err := tr.InsertDelta(r); err == nil {
 		t.Error("insert with non-appending ID accepted")
 	}
 	bad := rule.New(50, 0, 0, 0, 0, rule.Range{Lo: 9, Hi: 1}, rule.FullRange(rule.DimDstPort), 0, true)
-	if err := tr.Insert(bad); err == nil {
+	if _, err := tr.InsertDelta(bad); err == nil {
 		t.Error("insert with inverted range accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestInsertWildcardReachesEveryPath(t *testing.T) {
 	}
 	wild := rule.New(len(rs), 0, 0, 0, 0,
 		rule.FullRange(rule.DimSrcPort), rule.FullRange(rule.DimDstPort), 0, true)
-	if err := tr.Insert(wild); err != nil {
+	if _, err := tr.InsertDelta(wild); err != nil {
 		t.Fatal(err)
 	}
 	// Any packet that misses all original rules must now hit the
@@ -86,7 +86,7 @@ func TestDeleteRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := 3
-	if err := tr.Delete(victim); err != nil {
+	if _, err := tr.DeleteDelta(victim); err != nil {
 		t.Fatal(err)
 	}
 	// Build the expected semantics: same set minus the victim.
@@ -106,7 +106,7 @@ func TestDeleteRule(t *testing.T) {
 			t.Fatalf("packet %d after delete: tree=%d want=%d", i, got, want)
 		}
 	}
-	if err := tr.Delete(999); err == nil {
+	if _, err := tr.DeleteDelta(999); err == nil {
 		t.Error("delete of unknown rule accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestDeleteThenEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []int{0, 10, 20} {
-		if err := tr.Delete(id); err != nil {
+		if _, err := tr.DeleteDelta(id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestDegradationGrowsWithInserts(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		r := rule.New(len(rs)+i, 0, 0, 0, 0,
 			rule.Range{Lo: uint32(i), Hi: 65535}, rule.FullRange(rule.DimDstPort), 0, true)
-		if err := tr.Insert(r); err != nil {
+		if _, err := tr.InsertDelta(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,7 +159,7 @@ func TestInsertUnsharesLeaves(t *testing.T) {
 	// Insert a narrow rule (single host, single port).
 	narrow := rule.New(len(rs), 0x0A0B0C0D, 32, 0x01020304, 32,
 		rule.Range{Lo: 7, Hi: 7}, rule.Range{Lo: 9, Hi: 9}, 6, false)
-	if err := tr.Insert(narrow); err != nil {
+	if _, err := tr.InsertDelta(narrow); err != nil {
 		t.Fatal(err)
 	}
 	full := append(append(rule.RuleSet{}, rs...), narrow)

@@ -96,8 +96,9 @@ func countNew(d *core.Delta) int {
 }
 
 // TestGarbageAccountingAcrossChunks pins the orphan/dead-slot
-// accounting around the chunked copies: a rewritten window's old slots
-// and an orphaned leaf's slots are each counted exactly once, whether or
+// accounting around the chunked copies: a rewritten window's old slots,
+// an orphaned leaf's slots and the batch's noRule pads are each counted
+// exactly once, whether or
 // not the chunk holding them was copied by the same batch (orphans never
 // force a copy), and GarbageRatio reflects the total.
 func TestGarbageAccountingAcrossChunks(t *testing.T) {
@@ -116,7 +117,7 @@ func TestGarbageAccountingAcrossChunks(t *testing.T) {
 	if len(d.Orphaned) == 0 {
 		t.Fatal("wildcard insert produced no orphans; test needs shared leaves")
 	}
-	wantDead := e0.deadRuleSlots
+	wantDead := e0.deadRuleSlots + (wordSlots-len(e0.ruleIDs)%wordSlots)%wordSlots
 	for _, le := range d.LeafEdits {
 		if !le.New {
 			wantDead += int(e0.leafAt(int32(le.Index)).n)

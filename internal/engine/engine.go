@@ -114,13 +114,13 @@ type flatRule struct {
 // atomic, epoch-versioned pointer for lock-free readers.
 type Engine struct {
 	nodes []node
-	// cuts / kids / ruleIDs / rules are published COW arenas: append-only
-	// after publish, shared between snapshots. Only //repro:arena-writer
-	// functions (Compile, the Patch chain, image restore, blessed test
-	// fixtures) may mutate them; arenaappend enforces this at vet time.
-	//repro:arena
+	// cuts / kids / ruleIDs / rules are COW arenas shared between
+	// snapshots. Once an engine is published they are written only past
+	// their lengths (kids also in blocks relocated by the same patch
+	// batch), so no reader of a snapshot loads a word a later patch
+	// writes; TestPatchLeavesReceiverUntouched checks it after every
+	// patch.
 	cuts []cut
-	//repro:arena
 	kids []int32
 	// leaves is the chunked leaf table: entry i lives at
 	// leaves[i>>leafChunkBits][i&leafChunkMask]. Chunks are immutable
@@ -128,15 +128,15 @@ type Engine struct {
 	// the rest with the previous snapshot.
 	leaves    [][]leafRef
 	numLeaves int
-	//repro:arena
+	// ruleIDs holds the leaf windows' rule IDs; between windows it may
+	// hold noRule pads (PatchBatch).
 	ruleIDs []int32
-	//repro:arena
-	rules []flatRule
+	rules   []flatRule
 	// soa holds the leaf windows' rule bounds word-packed in ruleIDs
 	// order — the software comparator bank the leaf scan reads (see
 	// soa.go). Like ruleIDs it is an append-only arena: Patch writes
-	// rewritten windows past the receiver's slot count, so the arena is
-	// shared between snapshots exactly like the pool.
+	// rewritten windows into words past the receiver's last one, so the
+	// arena is shared between snapshots exactly like the pool.
 	soa soaBank
 
 	// kern is the scan kernel tag (kernPortable/kernNative), stamped
@@ -156,8 +156,6 @@ type Engine struct {
 // numbering of internal nodes, first-encounter order of deduplicated
 // leaves) carries over verbatim, so the engine is a software rendering of
 // the exact memory image the accelerator would load.
-//
-//repro:arena-writer builds the initial arenas before the engine is published
 func Compile(t *core.Tree) *Engine {
 	internals := t.Internals()
 	leafNodes := t.Leaves()

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/classbench"
@@ -23,16 +24,31 @@ var fuzzProbePackets = []rule.Packet{
 }
 
 // fuzzSeedImage builds a tiny deterministic engine image for the fuzz
-// seed corpus (small enough that the fuzzer can mutate it usefully).
-func fuzzSeedImage(f *testing.F, algo core.Algorithm, n int, seed int64) []byte {
+// seed corpus (small enough that the fuzzer can mutate it usefully),
+// after inserts patched into it: with any, the pool holds noRule pads.
+func fuzzSeedImage(f *testing.F, algo core.Algorithm, n, inserts int, seed int64) []byte {
 	f.Helper()
 	rs := classbench.Generate(classbench.ACL1(), n, seed)
 	tree, err := core.Build(rs, core.DefaultConfig(algo))
 	if err != nil {
 		f.Fatal(err)
 	}
+	e := Compile(tree)
+	for _, r := range classbench.Generate(classbench.FW1(), inserts, seed+1) {
+		r.ID = tree.NumRules()
+		d, err := tree.InsertDelta(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if e, err = e.Patch(d); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if inserts > 0 && !slices.Contains(e.ruleIDs, noRule) {
+		f.Fatal("patched seed image holds no pad")
+	}
 	var buf bytes.Buffer
-	if _, err := Compile(tree).Snapshot(&buf); err != nil {
+	if _, err := e.Snapshot(&buf); err != nil {
 		f.Fatal(err)
 	}
 	return buf.Bytes()
@@ -46,9 +62,9 @@ func fuzzSeedImage(f *testing.F, algo core.Algorithm, n int, seed int64) []byte 
 // engine whose image round-trip disagrees with itself (a silently-wrong
 // restore).
 func FuzzImageRestore(f *testing.F) {
-	img := fuzzSeedImage(f, core.HyperCuts, 40, 3)
+	img := fuzzSeedImage(f, core.HyperCuts, 40, 0, 3)
 	f.Add(img)
-	f.Add(fuzzSeedImage(f, core.HiCuts, 25, 4))
+	f.Add(fuzzSeedImage(f, core.HiCuts, 25, 0, 4))
 	flipped := bytes.Clone(img)
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
@@ -61,6 +77,7 @@ func FuzzImageRestore(f *testing.F) {
 		f.Add(append([]byte{'P', 'C', 'E', 'I', v, 0, 0, 0, 24}, make([]byte, 15)...))
 	}
 	f.Add(bytes.Repeat([]byte{0xFF}, 128))
+	f.Add(fuzzSeedImage(f, core.HyperCuts, 40, 3, 5))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e, err := RestoreEngineBytes(bytes.Clone(data))
 		if err != nil {

@@ -4,9 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"unsafe"
+	"slices"
 
 	"repro/internal/image"
+	"repro/internal/pod"
 	"repro/internal/rule"
 )
 
@@ -37,9 +38,11 @@ import (
 // On little-endian hosts both directions are zero-copy: Snapshot
 // aliases the arenas as section bytes, and Restore aliases validated
 // section bytes back as typed arenas (section starts are 8-aligned by
-// the container). The aliases have no spare capacity, so a restored
-// engine's Patch appends reallocate and never write into the image
-// buffer. Big-endian hosts take a per-word encode/decode loop.
+// the container). internal/pod makes both views; TestImageElementSizes
+// pins the element sizes they depend on, so a field added to one of the
+// structs must bump image.Version. The aliases have no spare capacity,
+// so a restored engine's Patch appends reallocate and never write into
+// the image buffer. Big-endian hosts take a per-word encode/decode loop.
 
 // Section IDs of the engine image. Frozen: any layout change bumps
 // image.Version instead of reinterpreting an existing ID.
@@ -62,95 +65,6 @@ const (
 	metaLen   = 32
 )
 
-// The zero-copy alias paths depend on these layouts exactly; a field
-// added to any of the POD structs must bump image.Version and fails
-// compilation here first.
-var (
-	_ = [1]struct{}{}[unsafe.Sizeof(node{})-16]
-	_ = [1]struct{}{}[unsafe.Sizeof(cut{})-3]
-	_ = [1]struct{}{}[unsafe.Sizeof(leafRef{})-8]
-	_ = [1]struct{}{}[unsafe.Sizeof(flatRule{})-40]
-)
-
-// hostLE reports whether this host stores integers little-endian — the
-// on-disk byte order, and therefore the alias-in-place fast path.
-var hostLE = func() bool {
-	var x uint16 = 1
-	//repro:allow unsafealias -- one-byte endianness probe of a local; package-level init cannot carry a shape annotation
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
-
-// podBytes returns the little-endian serialization of a slice whose
-// element type is a padding-free struct of 32-bit words (asserted
-// above). On little-endian hosts it aliases the slice's memory.
-//
-//repro:unsafe-shape aliases a pod []T as raw bytes; element types are asserted padding-free 32-bit-word structs
-func podBytes[T any](s []T) []byte {
-	size := int(unsafe.Sizeof(*new(T)))
-	if len(s) == 0 {
-		return nil
-	}
-	p := unsafe.Pointer(unsafe.SliceData(s))
-	if hostLE {
-		return unsafe.Slice((*byte)(p), len(s)*size)
-	}
-	// Big-endian: fields are native-order 32-bit words in declaration
-	// order, so serializing each word little-endian is exactly the
-	// on-disk layout.
-	//repro:allow unsafealias -- p is the backing store of []T whose elements are 32-bit words: 4-byte aligned by the allocator
-	words := unsafe.Slice((*uint32)(p), len(s)*size/4)
-	out := make([]byte, len(words)*4)
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(out[i*4:], w)
-	}
-	return out
-}
-
-// podSlice decodes a section of padding-free 32-bit-word structs,
-// aliasing the section bytes in place on aligned little-endian hosts
-// and copying otherwise. The caller has validated len(data) is a
-// multiple of the element size.
-//
-//repro:unsafe-shape aliases section bytes as []T behind an explicit alignment guard; copies when misaligned
-func podSlice[T any](data []byte) []T {
-	size := int(unsafe.Sizeof(*new(T)))
-	n := len(data) / size
-	if n == 0 {
-		return nil
-	}
-	p := unsafe.Pointer(unsafe.SliceData(data))
-	if hostLE && uintptr(p)%unsafe.Alignof(*new(T)) == 0 {
-		return unsafe.Slice((*T)(p), n)
-	}
-	out := make([]T, n)
-	words := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(out))), n*size/4)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(data[i*4:])
-	}
-	return out
-}
-
-// cutBytes / cutSlice handle the 3-byte cut entries, which are
-// endianness-free (three single-byte fields) and so alias both ways on
-// any host.
-//
-//repro:unsafe-shape aliases the 3-byte cut entries as raw bytes; cut has byte alignment
-func cutBytes(s []cut) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*3)
-}
-
-//repro:unsafe-shape aliases section bytes as []cut; cut has byte alignment so any offset is valid
-func cutSlice(data []byte) []cut {
-	n := len(data) / 3
-	if n == 0 {
-		return nil
-	}
-	return unsafe.Slice((*cut)(unsafe.Pointer(unsafe.SliceData(data))), n)
-}
-
 // Snapshot serializes this engine — one epoch's immutable image — into
 // the versioned, checksummed container format and writes it to w,
 // returning the number of bytes written. The engine is immutable, so
@@ -170,12 +84,12 @@ func (e *Engine) Snapshot(w io.Writer) (int64, error) {
 
 	return image.Write(w, []image.Section{
 		{ID: secMeta, Data: meta},
-		{ID: secNodes, Data: podBytes(e.nodes)},
-		{ID: secCuts, Data: cutBytes(e.cuts)},
-		{ID: secKids, Data: podBytes(e.kids)},
-		{ID: secLeaves, Data: podBytes(flat)},
-		{ID: secRuleIDs, Data: podBytes(e.ruleIDs)},
-		{ID: secRules, Data: podBytes(e.rules)},
+		{ID: secNodes, Data: pod.Bytes(e.nodes)},
+		{ID: secCuts, Data: pod.Bytes(e.cuts)},
+		{ID: secKids, Data: pod.Bytes(e.kids)},
+		{ID: secLeaves, Data: pod.Bytes(flat)},
+		{ID: secRuleIDs, Data: pod.Bytes(e.ruleIDs)},
+		{ID: secRules, Data: pod.Bytes(e.rules)},
 	})
 }
 
@@ -214,7 +128,6 @@ func RestoreBytes(b []byte) (*Handle, error) {
 	return NewHandle(e), nil
 }
 
-//repro:arena-writer installs restored arenas into a brand-new unpublished engine
 func restoreSections(secs []image.Section) (*Engine, error) {
 	byID := make(map[uint32][]byte, len(secs))
 	for _, s := range secs {
@@ -282,16 +195,16 @@ func restoreSections(secs []image.Section) (*Engine, error) {
 	}
 
 	e := &Engine{
-		nodes:         podSlice[node](nodesB),
-		cuts:          cutSlice(cutsB),
-		kids:          podSlice[int32](kidsB),
-		ruleIDs:       podSlice[int32](ruleIDsB),
-		rules:         podSlice[flatRule](rulesB),
+		nodes:         pod.Slice[node](nodesB),
+		cuts:          pod.Slice[cut](cutsB),
+		kids:          pod.Slice[int32](kidsB),
+		ruleIDs:       pod.Slice[int32](ruleIDsB),
+		rules:         pod.Slice[flatRule](rulesB),
 		deadRuleSlots: int(deadRuleSlots),
 		deadKidSlots:  int(deadKidSlots),
 		kern:          defaultKern, // host-dependent: never restored
 	}
-	flat := podSlice[leafRef](leavesB)
+	flat := pod.Slice[leafRef](leavesB)
 	if err := e.validateRestored(flat, numLeaves, deadRuleSlots, deadKidSlots); err != nil {
 		return nil, err
 	}
@@ -314,9 +227,11 @@ func restoreSections(secs []image.Section) (*Engine, error) {
 //     refs, so child > parent holds for every valid image — and it is
 //     what bounds the walk: indexes strictly increase, so traversal
 //     terminates);
-//   - every leaf window lies inside the rule-ID pool and every pooled
-//     rule ID indexes the rule table (which is also what lets
-//     soaBank.build resolve every slot afterwards).
+//   - every leaf window lies inside the rule-ID pool, every pooled rule
+//     ID indexes the rule table or is a noRule pad (which is also what
+//     lets soaBank.build resolve every slot afterwards), and no window
+//     holds a pad: the AoS scan indexes the rule table with every ID in
+//     its window.
 func (e *Engine) validateRestored(flat []leafRef, numLeaves int32, deadRuleSlots, deadKidSlots uint64) error {
 	if int(numLeaves) != len(flat) {
 		return imgErr(secMeta, "metadata says %d leaves, leaf table has %d", numLeaves, len(flat))
@@ -370,16 +285,22 @@ func (e *Engine) validateRestored(flat []leafRef, numLeaves int32, deadRuleSlots
 			}
 		}
 	}
+	nRules := uint32(len(e.rules))
+	var pads []int32 // pool slots holding noRule, ascending
+	for i, id := range e.ruleIDs {
+		if id == noRule {
+			pads = append(pads, int32(i))
+		} else if uint32(id) >= nRules {
+			return imgErr(secRuleIDs, "pool slot %d holds rule ID %d, table has %d", i, id, nRules)
+		}
+	}
 	nIDs := int64(len(e.ruleIDs))
 	for i, l := range flat {
 		if l.off < 0 || l.n < 0 || int64(l.off)+int64(l.n) > nIDs {
 			return imgErr(secLeaves, "leaf %d window [%d,+%d) outside rule-ID pool of %d", i, l.off, l.n, nIDs)
 		}
-	}
-	nRules := uint32(len(e.rules))
-	for i, id := range e.ruleIDs {
-		if uint32(id) >= nRules {
-			return imgErr(secRuleIDs, "pool slot %d holds rule ID %d, table has %d", i, id, nRules)
+		if j, _ := slices.BinarySearch(pads, l.off); j < len(pads) && pads[j] < l.off+l.n {
+			return imgErr(secLeaves, "leaf %d window [%d,+%d) holds the pad in pool slot %d", i, l.off, l.n, pads[j])
 		}
 	}
 	return nil

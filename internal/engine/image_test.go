@@ -12,6 +12,7 @@ import (
 	"repro/internal/classbench"
 	"repro/internal/core"
 	"repro/internal/image"
+	"repro/internal/pod"
 	"repro/internal/rule"
 )
 
@@ -268,6 +269,11 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 		binary.LittleEndian.PutUint32(b[off:], v)
 		return b
 	}
+	// A window to plant a pad in: the first leaf holding rules.
+	var win leafRef
+	for i := int32(0); win.n == 0; i++ {
+		win = eng.leafAt(i)
+	}
 	cases := []struct {
 		name string
 		sec  uint32
@@ -295,7 +301,8 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 		{"leaf-window-oob", secLeaves, func(b []byte) []byte { return put32(b, 4, 1<<29) }},
 		{"leaf-negative-window", secLeaves, func(b []byte) []byte { return put32(b, 0, 0xFFFFFFFF) }},
 		{"rule-id-oob", secRuleIDs, func(b []byte) []byte { return put32(b, 0, 1<<29) }},
-		{"rule-id-negative", secRuleIDs, func(b []byte) []byte { return put32(b, 0, 0xFFFFFFFF) }},
+		{"rule-id-negative", secRuleIDs, func(b []byte) []byte { return put32(b, 0, 0xFFFFFFFE) }}, // -1 is a pad
+		{"pad-inside-window", secRuleIDs, func(b []byte) []byte { return put32(b, int(win.off)*4, 0xFFFFFFFF) }},
 		{"nodes-indivisible-length", secNodes, func(b []byte) []byte { return append(b, 0) }},
 		{"truncated-meta", secMeta, func(b []byte) []byte { return b[:16] }},
 	}
@@ -356,6 +363,25 @@ func TestRestoreRejectsForgedImages(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestImageElementSizes pins the sizes of the structs the image sections
+// alias (internal/pod reads each as its in-memory bytes): a field added
+// to one of them changes the format and must bump image.Version.
+func TestImageElementSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"node", pod.Size[node](), 16},
+		{"cut", pod.Size[cut](), 3},
+		{"leafRef", pod.Size[leafRef](), 8},
+		{"flatRule", pod.Size[flatRule](), 40},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, the image format has %d", c.name, c.got, c.want)
+		}
+	}
 }
 
 // TestRestoredEnginePatches proves a restored engine keeps full

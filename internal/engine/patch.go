@@ -17,10 +17,11 @@ import (
 //   - rules, ruleIDs, the comparator bank (soa.go) and kids are
 //     append-only arenas: new rule entries, rewritten leaf windows (IDs
 //     and word-packed bounds alike) and relocated kid blocks are
-//     appended past the receiver's length, so readers of older
-//     snapshots — whose offsets all point below it — are never
-//     disturbed (this is what makes the snapshot swap race-detector
-//     clean);
+//     appended past the receiver's length, and a batch's first window
+//     starts on a fresh bank word (padToWord), so nothing a reader of
+//     an older snapshot can load is written — not even a spare lane of
+//     its last bank word (TestPatchLeavesReceiverUntouched; this is
+//     what makes the snapshot swap race-detector clean);
 //   - the leaf table is chunked (leafChunkLen entries per chunk), and
 //     only the chunks containing edited leaf indices are copied — every
 //     chunk before the delta's first dirty leaf, and every untouched
@@ -34,9 +35,10 @@ import (
 //     free of further indirection); a repointed node's whole kid block
 //     moves to the arena end rather than being edited in place.
 //
-// Abandoned windows and blocks are counted in deadRuleSlots/deadKidSlots;
-// when GarbageRatio crosses the operator's threshold, a fresh Compile of
-// the (relaid-out) tree replaces the patch chain.
+// Abandoned windows, noRule pads and relocated blocks are counted in
+// deadRuleSlots/deadKidSlots; when GarbageRatio crosses the operator's
+// threshold, a fresh Compile of the (relaid-out) tree replaces the patch
+// chain.
 //
 // Patch must be applied to the newest snapshot only, in delta order, and
 // by one updater at a time — Handle.Apply enforces exactly that. A delta
@@ -73,12 +75,17 @@ func (e *Engine) PatchBatch(ds []*core.Delta) (*Engine, error) {
 		deadKidSlots:  e.deadKidSlots,
 	}
 	var st patchState
+	windows := false
 	for _, d := range ds {
 		for _, le := range d.LeafEdits {
+			windows = true
 			if le.New {
 				st.newLeaves++
 			}
 		}
+	}
+	if windows {
+		ne.padToWord()
 	}
 	for _, d := range ds {
 		if err := ne.applyOne(d, &st); err != nil {
@@ -86,6 +93,18 @@ func (e *Engine) PatchBatch(ds []*core.Delta) (*Engine, error) {
 		}
 	}
 	return ne, nil
+}
+
+// padToWord starts the batch's windows on a fresh bank word. Readers of
+// the receiver load its last word whole, so the batch writes none of its
+// spare lanes: the pool skips them with noRule pads, counted as dead
+// slots, and the bank's lanes for them keep blankWord's bounds. The
+// batch's later windows pack densely into words it appended itself.
+func (ne *Engine) padToWord() {
+	for len(ne.ruleIDs)%wordSlots != 0 {
+		ne.ruleIDs = append(ne.ruleIDs, noRule)
+		ne.deadRuleSlots++
+	}
 }
 
 // patchState tracks the copy-on-write work already done for one
@@ -160,8 +179,6 @@ func (ne *Engine) appendLeaf(st *patchState, ref leafRef) {
 
 // applyOne replays a single delta into ne (the batch's under-construction
 // snapshot), copying shared segments on first touch.
-//
-//repro:arena-writer replays a delta into the under-construction snapshot; indexed writes land only in blocks relocated this batch
 func (ne *Engine) applyOne(d *core.Delta, st *patchState) error {
 	if d.RuleAppended {
 		if d.AppendedRule.ID != len(ne.rules) {
@@ -181,10 +198,8 @@ func (ne *Engine) applyOne(d *core.Delta, st *patchState) error {
 	for _, le := range d.LeafEdits {
 		slot := int32(le.Index)
 		ref := leafRef{off: int32(len(ne.ruleIDs)), n: int32(len(le.Rules))}
-		// The comparator bank grows in lock-step with the ruleIDs pool:
-		// the rewritten window's bounds go past the receiver's slot
-		// count, never over a published slot, so older snapshots keep
-		// reading their own slots untouched.
+		// The comparator bank grows in lock-step with the ruleIDs pool,
+		// in words past the receiver's last one (padToWord).
 		ne.soa.appendWindow(len(ne.ruleIDs), ne.rules, le.Rules)
 		ne.ruleIDs = append(ne.ruleIDs, le.Rules...)
 		if le.New {
@@ -278,10 +293,11 @@ func VerifyPatched(trace []rule.Packet, patched, fresh *Engine) error {
 }
 
 // GarbageRatio reports the fraction of the kids and ruleIDs arenas
-// abandoned by patches: rewritten leaf windows and relocated kid blocks
-// accumulate until a full Compile resets the pools. It is the engine-side
-// degradation signal, the analogue of core.Tree.Degradation for the tree:
-// recompile when either crosses the operator's threshold.
+// abandoned by patches: rewritten leaf windows, noRule pads and
+// relocated kid blocks accumulate until a full Compile resets the pools.
+// It is the engine-side degradation signal, the analogue of
+// core.Tree.Degradation for the tree: recompile when either crosses the
+// operator's threshold.
 func (e *Engine) GarbageRatio() float64 {
 	total := len(e.ruleIDs) + len(e.kids)
 	if total == 0 {

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/classbench"
@@ -167,5 +169,151 @@ func TestPatchRejectsOutOfOrder(t *testing.T) {
 	}
 	if _, err := e1.Patch(d); err == nil {
 		t.Error("replaying an already-applied insert delta was accepted")
+	}
+}
+
+// freeze deep-copies every arena of e up to its length: everything a
+// reader of e can load.
+func freeze(e *Engine) *Engine {
+	c := *e
+	c.nodes = slices.Clone(e.nodes)
+	c.cuts = slices.Clone(e.cuts)
+	c.kids = slices.Clone(e.kids)
+	c.leaves = make([][]leafRef, len(e.leaves))
+	for i, chunk := range e.leaves {
+		c.leaves[i] = slices.Clone(chunk)
+	}
+	c.ruleIDs = slices.Clone(e.ruleIDs)
+	c.rules = slices.Clone(e.rules)
+	c.soa.words = slices.Clone(e.soa.words)
+	return &c
+}
+
+// firstDiff returns the first index where got and want differ, or -1.
+func firstDiff[T comparable](got, want []T) int {
+	for i := range want {
+		if i == len(got) || got[i] != want[i] {
+			return i
+		}
+	}
+	if len(got) != len(want) {
+		return len(want)
+	}
+	return -1
+}
+
+// checkUntouched fails unless e still holds what freeze recorded in
+// want, arena by arena.
+func checkUntouched(t *testing.T, e, want *Engine, when string) {
+	t.Helper()
+	for _, a := range []struct {
+		what  string
+		at, n int
+	}{
+		{"node", firstDiff(e.nodes, want.nodes), len(want.nodes)},
+		{"cut", firstDiff(e.cuts, want.cuts), len(want.cuts)},
+		{"kid slot", firstDiff(e.kids, want.kids), len(want.kids)},
+		{"pool slot", firstDiff(e.ruleIDs, want.ruleIDs), len(want.ruleIDs)},
+		{"rule", firstDiff(e.rules, want.rules), len(want.rules)},
+		{"bank word", firstDiff(e.soa.words, want.soa.words), len(want.soa.words)},
+	} {
+		if a.at >= 0 {
+			t.Fatalf("%s: %s %d of %d of the receiver changed", when, a.what, a.at, a.n)
+		}
+	}
+	if len(e.leaves) != len(want.leaves) {
+		t.Fatalf("%s: the receiver's leaf directory changed length", when)
+	}
+	for ci := range want.leaves {
+		if i := firstDiff(e.leaves[ci], want.leaves[ci]); i >= 0 {
+			t.Fatalf("%s: leaf %d of the receiver changed", when, ci*leafChunkLen+i)
+		}
+	}
+	if e.numLeaves != want.numLeaves || e.deadRuleSlots != want.deadRuleSlots ||
+		e.deadKidSlots != want.deadKidSlots || e.soa.order != want.soa.order || e.kern != want.kern {
+		t.Fatalf("%s: the receiver's counters changed", when)
+	}
+}
+
+// TestPatchLeavesReceiverUntouched is the arena protocol as a property:
+// after every Patch or PatchBatch — successful, or failed part-way
+// through a batch — the receiver holds bit-identical arenas up to each
+// arena's length (nodes, cuts, kids, every leaf chunk, ruleIDs, rules,
+// every bank word), so a patch never writes a word a reader of an older
+// snapshot can load. Randomized insert/delete sequences run on both
+// algorithms, as single deltas and as bursts; every tenth step first
+// fails a batch on its last delta, then retries it on the same receiver.
+func TestPatchLeavesReceiverUntouched(t *testing.T) {
+	for _, algo := range []core.Algorithm{core.HiCuts, core.HyperCuts} {
+		t.Run(algo.String(), func(t *testing.T) {
+			const seed = 400
+			rng := rand.New(rand.NewSource(seed))
+			rs := classbench.Generate(classbench.ACL1(), 400, seed)
+			tree, err := core.Build(rs, core.DefaultConfig(algo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := Compile(tree)
+			pool := classbench.Generate(classbench.FW1(), 512, seed+1)
+			next := func() *core.Delta {
+				if rng.Intn(3) == 0 {
+					if d, err := tree.DeleteDelta(rng.Intn(tree.NumRules())); err == nil {
+						return d
+					}
+				}
+				r := pool[rng.Intn(len(pool))]
+				r.ID = tree.NumRules()
+				d, err := tree.InsertDelta(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			kidEdits, unaligned, failed := 0, 0, 0
+			for step := 0; step < 150; step++ {
+				ds := []*core.Delta{next()}
+				if rng.Intn(2) == 0 {
+					for n := rng.Intn(6); n > 0; n-- {
+						ds = append(ds, next())
+					}
+				}
+				for _, d := range ds {
+					kidEdits += len(d.KidEdits)
+				}
+				if len(e.ruleIDs)%wordSlots != 0 {
+					unaligned++
+				}
+				want := freeze(e)
+				if last := ds[len(ds)-1]; step%10 == 0 && len(last.LeafEdits) > 0 {
+					bad := *last
+					bad.LeafEdits = slices.Clone(last.LeafEdits)
+					bad.LeafEdits[len(bad.LeafEdits)-1].Index = 1 << 20
+					bad.LeafEdits[len(bad.LeafEdits)-1].New = false
+					if _, err := e.PatchBatch(append(ds[:len(ds)-1:len(ds)-1], &bad)); err == nil {
+						t.Fatalf("step %d: a corrupted batch was accepted", step)
+					}
+					checkUntouched(t, e, want, fmt.Sprintf("step %d, failed batch", step))
+					failed++
+				}
+				var ne *Engine
+				if len(ds) == 1 {
+					ne, err = e.Patch(ds[0])
+				} else {
+					ne, err = e.PatchBatch(ds)
+				}
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				checkUntouched(t, e, want, fmt.Sprintf("step %d (%d deltas)", step, len(ds)))
+				e = ne
+			}
+			if kidEdits == 0 || unaligned == 0 || failed == 0 {
+				t.Fatalf("premise: %d kid edits, %d unaligned receivers, %d failed batches", kidEdits, unaligned, failed)
+			}
+			trace := classbench.GenerateTrace(rs, 2000, seed+2)
+			if err := VerifyPatched(trace, e, Compile(tree)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -23,27 +23,26 @@ import (
 // word are adjacent, so a word is one prefetchable 320-byte run instead
 // of ten streams.
 //
-// Slot order is the pool order, and windows are neither aligned nor
-// padded to words: a window [off, off+n) starts in lane off%wordSlots of
-// word off/wordSlots and the kernels mask the lanes of its first and last
-// word that belong to its neighbours. Aligning windows would cost a
-// second offset per leaf and about wordSlots/2 dead slots per window
-// (the benchmark rulesets build thousands of windows of 20-130 slots);
-// the masks cost two scalar instructions per word.
+// Slot order is the pool order, and windows are not aligned to words: a
+// window [off, off+n) starts in lane off%wordSlots of word off/wordSlots
+// and the kernels mask the lanes of its first and last word that belong
+// to its neighbours. Aligning every window would cost a second offset
+// per leaf and about wordSlots/2 dead slots per window (the benchmark
+// rulesets build thousands of windows of 20-130 slots); the masks cost
+// two scalar instructions per word.
 //
-// The arena grows append-only, in lock-step with ruleIDs: Patch writes a
-// rewritten window's bounds past the receiver's slot count exactly as it
-// appends the window's rule IDs. The arena is always a whole number of
-// words, so the first lanes a patch fills may sit in the last word an
-// older snapshot still scans. That overlap is benign: no window of the
-// older snapshot reaches those lanes, the portable kernel reads only the
-// lanes of its window, and the AVX2 kernel's full-line loads discard them
-// under the tail mask before anything depends on their value.
+// The arena grows append-only, in lock-step with ruleIDs, and a patch
+// never writes a word a published snapshot can load: the device's write
+// port likewise takes an update as whole words the classifier is not
+// reading. PatchBatch starts its first window on a fresh word, padding
+// the pool to a word boundary with noRule slots whose lanes keep
+// blankWord's bounds, so the receiver's last word is left as it was; the
+// batch's later windows pack densely into words the batch appended
+// itself, which no reader sees before the batch is published.
 type soaBank struct {
 	// words is the published comparator arena (COW, append-only after
-	// publish; see Engine.cuts). Lanes past the pool's slot count hold
-	// blankWord's bounds.
-	//repro:arena
+	// publish; see Engine.cuts). Lanes past the pool's slot count, and
+	// the lanes of noRule pads, hold blankWord's bounds.
 	words []bankWord
 	// order ranks the dimensions, most selective first, from the
 	// ruleset's wildcard densities at Compile time — every recompile
@@ -79,6 +78,11 @@ var blankWord = func() (w bankWord) {
 	return w
 }()
 
+// noRule is a ruleIDs pool slot that holds no rule: one of the pads
+// PatchBatch appends to start its first window on a fresh word. Its lane
+// keeps blankWord's bounds, and no leaf window covers it.
+const noRule = -1
+
 // defaultOrder returns the identity sweep order.
 func defaultOrder() [rule.NumDims]uint8 {
 	var o [rule.NumDims]uint8
@@ -91,9 +95,7 @@ func defaultOrder() [rule.NumDims]uint8 {
 // build fills a fresh bank from its source of truth: slot i holds the
 // bounds of rule ids[i], for the whole ruleIDs pool at once. Compile and
 // image restore both call it, so the bank is a function of (rules,
-// ruleIDs) by construction. Every id must index rules.
-//
-//repro:arena-writer fills the arena of a brand-new unpublished engine
+// ruleIDs) by construction. Every id is noRule or indexes rules.
 func (b *soaBank) build(rules []flatRule, ids []int32) {
 	b.words = make([]bankWord, 0, (len(ids)+wordSlots-1)/wordSlots)
 	b.appendWindow(0, rules, ids)
@@ -101,16 +103,18 @@ func (b *soaBank) build(rules []flatRule, ids []int32) {
 
 // appendWindow stores the bounds of each rule in ids in slots at,
 // at+1, ... — Patch's mirror of appending a rewritten window's ids to
-// the ruleIDs pool, whose length at is. Lanes of the last word are
-// filled in place (they lie past every published slot count, like spare
-// capacity past a slice's length); further words are appended.
-//
-//repro:arena-writer writes a window's lanes past the published slot count (COW append protocol)
+// the ruleIDs pool, whose length at is — appending words as the slots
+// reach them and leaving noRule slots blank. It fills lanes of the last
+// word in place, so that word must be one no published snapshot holds:
+// a fresh bank's, or one the current patch batch appended.
 func (b *soaBank) appendWindow(at int, rules []flatRule, ids []int32) {
 	for i, id := range ids {
 		s := at + i
 		if s/wordSlots == len(b.words) {
 			b.words = append(b.words, blankWord)
+		}
+		if id == noRule {
+			continue
 		}
 		w, l, r := &b.words[s/wordSlots], s%wordSlots, &rules[id]
 		for d := 0; d < rule.NumDims; d++ {
@@ -153,8 +157,7 @@ func rangeBit(v, lo, hi uint32) uint64 {
 
 // sweep returns one dimension's match bits for lanes [l0, l1) of a word
 // line: bit l is set when v lies within lane l's bounds. It reads no
-// other lane, so a reader racing a patch that fills the lanes past its
-// window stays data-race-free.
+// other lane.
 func sweep(v uint32, line *[2 * wordSlots]uint32, l0, l1 int32) uint32 {
 	if l0 == 0 && l1 == wordSlots {
 		return uint32(rangeBit(v, line[0], line[8]) | rangeBit(v, line[1], line[9])<<1 |

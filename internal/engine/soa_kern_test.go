@@ -83,14 +83,13 @@ func TestKernelDispatch(t *testing.T) {
 }
 
 // TestScanKernelsPatchedRace drives concurrent snapshot readers — on
-// every available kernel — against a live patch churn. Under -race this
-// pins the shared-tail-word contract: a patch fills lanes of the last
-// word of the arena while readers of older snapshots scan windows that
-// end in that word's published lanes. The portable kernel must read
-// only its window's lanes (the race detector watches it), the AVX2
-// kernel's whole-line loads must mask the rest, and the answers stay
-// packet-exact. One reader scans exactly the published lanes of its
-// snapshot's last word, the window no trace packet is sure to reach.
+// every available kernel — against a live patch churn. The readers load
+// whole words: the AVX2 kernel's whole-line loads, and one reader that
+// copies its snapshot's last bank word entire and checks that the lanes
+// past the pool still hold blankWord's bounds. Under -race this pins the
+// arena protocol — a patch never writes a word a published snapshot can
+// load, not even a spare lane of its last one — and the answers stay
+// packet-exact.
 func TestScanKernelsPatchedRace(t *testing.T) {
 	const seed = 31
 	rs := classbench.Generate(classbench.ACL1(), 500, seed)
@@ -113,7 +112,7 @@ func TestScanKernelsPatchedRace(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for _, k := range kernels() {
-		wg.Add(2)
+		wg.Add(1)
 		go func(kernel string) {
 			defer wg.Done()
 			out := make([]int32, len(trace))
@@ -135,29 +134,24 @@ func TestScanKernelsPatchedRace(t *testing.T) {
 				}
 			}
 		}(k)
-		go func(kernel string) {
-			defer wg.Done()
-			for !stopped() {
-				e := h.Current().Engine()
-				ke, err := e.WithKernel(kernel)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				slots := int32(len(e.ruleIDs))
-				tail := leafRef{off: slots - slots%wordSlots, n: slots % wordSlots}
-				for _, p := range trace[:64] {
-					f := soaFields(p)
-					var got [1]int32
-					ke.scanBlock([]leafRef{tail}, [][rule.NumDims]uint32{f}, got[:])
-					if want := int32(e.aosScanLeaf(tail, &f)); got[0] != want {
-						t.Errorf("kernel %s tail window off=%d n=%d: got %d, AoS oracle %d", kernel, tail.off, tail.n, got[0], want)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stopped() {
+			e := h.Current().Engine()
+			last := e.soa.words[len(e.soa.words)-1]
+			for l := len(e.ruleIDs) % wordSlots; l%wordSlots != 0; l++ {
+				for d := range last {
+					if last[d][l] != blankWord[d][l] || last[d][wordSlots+l] != blankWord[d][wordSlots+l] {
+						t.Errorf("spare lane %d of the last bank word holds [%d,%d] in dimension %d, want blankWord's",
+							l, last[d][l], last[d][wordSlots+l], d)
 						return
 					}
 				}
 			}
-		}(k)
-	}
+		}
+	}()
 
 	rng := rand.New(rand.NewSource(seed + 3))
 	for step := 0; step < 150; step++ {
@@ -251,7 +245,9 @@ func TestOrderRecomputedOnRecompile(t *testing.T) {
 // pool needs (the kernels' full-line loads stay inside it, and
 // engine_mem_bytes pays at most one partial word), every published slot
 // holds its rule's bounds, and on a fresh compile the unused lanes of
-// the last word hold bounds nothing matches.
+// the last word hold bounds nothing matches. A patch leaves those lanes
+// as they are: it pads the pool to the next word and starts its window
+// there.
 func TestSoaPad(t *testing.T) {
 	rs := classbench.Generate(classbench.ACL1(), 400, 3)
 	tree, err := core.Build(rs, core.DefaultConfig(core.HiCuts))
@@ -279,10 +275,16 @@ func TestSoaPad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prev := len(e.ruleIDs)
 		if e, err = e.Patch(d); err != nil {
 			t.Fatal(err)
 		}
 		checkBank(t, e)
+		for s := prev; s%wordSlots != 0; s++ {
+			if e.ruleIDs[s] != noRule {
+				t.Fatalf("insert %d: pool slot %d after the receiver's %d holds %d, want a pad", i, s, prev, e.ruleIDs[s])
+			}
+		}
 	}
 }
 
@@ -319,9 +321,8 @@ func edgeVal(a byte) uint32 {
 //	then 1 byte: how many of the pool's last slots a patch appended
 //	            (mod total+1; 0 = one bulk build) — the rest of the bank
 //	            is built first, so the appended lanes land in a word
-//	            that already holds published ones
-//
-//repro:arena-writer test fixture: builds a private engine that is never published to a snapshot
+//	            that already holds others, as a patch batch's later
+//	            windows do
 func fuzzWindow(data []byte) (e *Engine, l leafRef, f [rule.NumDims]uint32) {
 	pos := 0
 	next := func() byte {
@@ -431,8 +432,6 @@ func FuzzScanKernels(f *testing.F) {
 
 // handEngine builds an engine whose root has no cuts, so every packet
 // walks to the one leaf window l over a pool with one rule per slot.
-//
-//repro:arena-writer test fixture: builds a private engine that is never published to a snapshot
 func handEngine(rules []flatRule, l leafRef) *Engine {
 	e := &Engine{nodes: []node{{kidLen: 1}}, kids: []int32{^0}, rules: rules, kern: defaultKern}
 	for i := range rules {

@@ -37,14 +37,18 @@ func withKernels(t testing.TB, e *Engine) []*Engine {
 
 // checkBank verifies the bank is the word-packed image of the pool: a
 // whole number of words, no more than the pool needs, slot i holding the
-// bounds of rule ruleIDs[i].
+// bounds of rule ruleIDs[i], or blankWord's when it is a noRule pad.
 func checkBank(t *testing.T, e *Engine) {
 	t.Helper()
 	if want := (len(e.ruleIDs) + wordSlots - 1) / wordSlots; len(e.soa.words) != want {
 		t.Fatalf("bank has %d words for %d pool slots, want %d", len(e.soa.words), len(e.ruleIDs), want)
 	}
 	for s, id := range e.ruleIDs {
-		w, l, r := &e.soa.words[s/wordSlots], s%wordSlots, &e.rules[id]
+		w, l := &e.soa.words[s/wordSlots], s%wordSlots
+		r := flatRule{lo: [rule.NumDims]uint32{1, 1, 1, 1, 1}} // blankWord's bounds
+		if id != noRule {
+			r = e.rules[id]
+		}
 		for d := 0; d < rule.NumDims; d++ {
 			if w[d][l] != r.lo[d] || w[d][wordSlots+l] != r.hi[d] {
 				t.Fatalf("slot %d dim %d holds [%d,%d], rule %d has [%d,%d]",

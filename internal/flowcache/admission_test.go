@@ -1,6 +1,7 @@
 package flowcache
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/rule"
@@ -208,5 +209,61 @@ func TestLookupBatchZeroAllocInBypass(t *testing.T) {
 		c.LookupBatch(pkts, 1, out)
 	}); a != 0 {
 		t.Errorf("LookupBatch allocates %.1f/op in bypass mode", a)
+	}
+}
+
+// TestCacheZeroAllocs is the cache's exact allocation gate. One pass
+// drives every branch of Insert, Probe and LookupBatch: fresh flows into
+// empty and stale ways and, at twice the capacity, through evictions;
+// refreshes; same-epoch hits, a lagging reader and a stale probe after
+// an epoch bump; and LookupBatch in both admission modes. A pass's count
+// is the least of three runtime.ReadMemStats deltas, so an allocation
+// by another goroutine cannot fail it, while one in the cache shows in
+// all three.
+func TestCacheZeroAllocs(t *testing.T) {
+	c := New(4096)
+	flows := scatter(2*c.Stats().Capacity, 0)
+	recent := flows[len(flows)-admitBatch:]
+	win := uint64(window(c))
+	out := make([]int32, admitBatch)
+	var epoch uint64
+	flips := 0
+	pass := func() {
+		epoch += 2
+		for i, p := range flows {
+			c.Insert(p, epoch, int32(i))
+		}
+		for i, p := range recent {
+			c.Insert(p, epoch, int32(i))
+			c.Probe(p, epoch)
+			c.Probe(p, epoch-1)
+		}
+		c.LookupBatch(recent, epoch, out)
+		if f, _, _, _ := c.NoteLookups(0, win, 0); f {
+			flips++
+		}
+		c.LookupBatch(recent, epoch, out)
+		if f, _, _, _ := c.NoteLookups(win, 0, 0); f {
+			flips++
+		}
+		for _, p := range recent {
+			c.Probe(p, epoch+1)
+		}
+	}
+	pass() // first touch of every set and of the runtime's lazy state
+	var ms runtime.MemStats
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		pass()
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.Mallocs-before)
+	}
+	if best != 0 {
+		t.Fatalf("a pass over every Insert/Probe/LookupBatch branch allocates %d objects", best)
+	}
+	if s := c.Stats(); flips != 8 || s.Evictions == 0 || s.StaleEvictions == 0 {
+		t.Fatalf("the passes missed a branch: %d mode flips (want 8), stats %+v", flips, s)
 	}
 }

@@ -372,12 +372,6 @@ func (t *Tree) layout() {
 // Stats returns the build statistics.
 func (t *Tree) Stats() BuildStats { return t.stats }
 
-// Rules returns the ruleset the tree classifies.
-func (t *Tree) Rules() rule.RuleSet { return t.rules }
-
-// Config returns the configuration the tree was built with.
-func (t *Tree) Config() Config { return t.cfg }
-
 // Classify walks the tree for packet p and returns the matching rule ID or
 // -1. It is equivalent to ClassifyTraced with a nil tracer.
 func (t *Tree) Classify(p rule.Packet) int {

@@ -622,12 +622,6 @@ func (t *Tree) layout() {
 // Stats returns build statistics.
 func (t *Tree) Stats() BuildStats { return t.stats }
 
-// Rules returns the ruleset the tree classifies.
-func (t *Tree) Rules() rule.RuleSet { return t.rules }
-
-// Config returns the build configuration.
-func (t *Tree) Config() Config { return t.cfg }
-
 // NumRules returns the ruleset size.
 func (t *Tree) NumRules() int { return len(t.rules) }
 

@@ -328,8 +328,8 @@ func (c *hotChecker) checkCall(call *ast.CallExpr) (*violation, *ast.FuncDecl) {
 	}
 
 	// Builtins. Qualified unsafe builtins (unsafe.Add, unsafe.Slice,
-	// ...) alias memory rather than allocating; unsafealias polices
-	// them.
+	// ...) alias memory rather than allocating; only internal/pod may
+	// use them (TestModuleClean).
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if _, ok := info.Uses[sel.Sel].(*types.Builtin); ok {
 			return nil, nil

@@ -1,11 +1,14 @@
 // Package lint holds the pclint analyzers and their driver: passes
 // over go/ast and go/types that prove the engine's performance
-// contracts — zero-alloc hot paths, typed atomics only, append-only
-// COW arenas, blessed unsafe shapes — statically, over the whole call
-// graph. Check (load.go) is the one driver: cmd/pclint, TestModuleClean
-// and the analyzers' own testdata all run through it. DESIGN.md §14
-// documents each invariant; this file holds the analyzer types and the
-// shared directive vocabulary.
+// contracts — zero-alloc hot paths, typed atomics only — statically,
+// over the whole call graph. Check (load.go) is the one driver:
+// cmd/pclint, TestModuleClean and the analyzers' own testdata all run
+// through it. DESIGN.md §14 documents each invariant; this file holds
+// the analyzer types and the shared directive vocabulary. Two contracts
+// are held elsewhere: the copy-on-write arena protocol by a property
+// test (engine's TestPatchLeavesReceiverUntouched), and the unsafe
+// surface by a package boundary (internal/pod is the only unsafe
+// importer, which TestModuleClean checks).
 //
 // Directives are magic comments (no space after //, like //go:):
 //
@@ -15,16 +18,6 @@
 //	//repro:coldpath <why>
 //	    On a function: excluded from hot-path traversal even when
 //	    called from hot code (a slow/error exit). Justification is
-//	    mandatory.
-//	//repro:arena
-//	    On a struct field: the field is a published COW arena. Only
-//	    arena-writer functions may append to or index-assign it.
-//	//repro:arena-writer <why>
-//	    On a function: part of the whitelisted Compile/Patch publish
-//	    path; may mutate arena fields. Justification is mandatory.
-//	//repro:unsafe-shape <why>
-//	    On a function: a blessed unsafe.Pointer aliasing shape
-//	    (podSlice/podBytes and kin). Justification is
 //	    mandatory.
 //	//repro:allow <analyzer> -- <why>
 //	    On (or on the line above) an offending line: suppress one
@@ -72,8 +65,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		HotPathAnalyzer,
 		AtomicFuncAnalyzer,
-		ArenaAppendAnalyzer,
-		UnsafeAliasAnalyzer,
 		ReproAllowAnalyzer,
 	}
 }
@@ -83,11 +74,11 @@ const directivePrefix = "//repro:"
 // directive is one parsed //repro: comment.
 type directive struct {
 	pos  token.Pos
-	kind string // "hotpath", "coldpath", "arena", "arena-writer", "unsafe-shape", "allow"
+	kind string // "hotpath", "coldpath", "allow"
 	// arg is the analyzer name for allow, empty otherwise.
 	arg string
 	// why is the mandatory justification (after "--" for allow; the
-	// whole remainder for coldpath/arena-writer/unsafe-shape).
+	// whole remainder for coldpath).
 	why string
 }
 
@@ -124,9 +115,6 @@ type directiveIndex struct {
 	// funcDir maps a function declaration to its directives (from the
 	// doc comment group).
 	funcDir map[*ast.FuncDecl][]directive
-	// fieldDir maps a struct field to its directives (doc or trailing
-	// line comment).
-	fieldDir map[*ast.Field][]directive
 	// allows maps file -> line -> analyzer names allowed on that line.
 	// An allow on line N suppresses diagnostics on lines N and N+1, so
 	// the directive can sit on its own line above the offending one.
@@ -138,10 +126,9 @@ type directiveIndex struct {
 // collectDirectives scans all comments of one package.
 func collectDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 	idx := &directiveIndex{
-		fset:     fset,
-		funcDir:  make(map[*ast.FuncDecl][]directive),
-		fieldDir: make(map[*ast.Field][]directive),
-		allows:   make(map[string]map[int]map[string]bool),
+		fset:    fset,
+		funcDir: make(map[*ast.FuncDecl][]directive),
+		allows:  make(map[string]map[int]map[string]bool),
 	}
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -167,31 +154,16 @@ func collectDirectives(fset *token.FileSet, files []*ast.File) *directiveIndex {
 				}
 			}
 		}
-		// Attach doc-comment directives to declarations and fields.
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Doc != nil {
-					for _, c := range n.Doc.List {
-						if d, ok := parseDirective(c); ok {
-							idx.funcDir[n] = append(idx.funcDir[n], d)
-						}
-					}
-				}
-			case *ast.Field:
-				for _, cg := range []*ast.CommentGroup{n.Doc, n.Comment} {
-					if cg == nil {
-						continue
-					}
-					for _, c := range cg.List {
-						if d, ok := parseDirective(c); ok {
-							idx.fieldDir[n] = append(idx.fieldDir[n], d)
-						}
+		// Attach doc-comment directives to function declarations.
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Doc != nil {
+				for _, c := range fn.Doc.List {
+					if d, ok := parseDirective(c); ok {
+						idx.funcDir[fn] = append(idx.funcDir[fn], d)
 					}
 				}
 			}
-			return true
-		})
+		}
 	}
 	return idx
 }

@@ -3,9 +3,9 @@ package lint
 // reproallow lints the lint: the suppression and annotation directives
 // are themselves checked, so an escape hatch can't rot into a blanket
 // mute. //repro:allow must name a real analyzer and carry a non-empty
-// justification after "--"; coldpath/arena-writer/unsafe-shape must
-// carry a justification; unknown //repro: directives are flagged
-// (usually a typo that would otherwise silently disable a check).
+// justification after "--"; coldpath must carry a justification;
+// unknown //repro: directives are flagged (usually a typo that would
+// otherwise silently disable a check).
 
 import (
 	"slices"
@@ -27,9 +27,9 @@ func runReproAllow(pass *Pass) {
 	}
 	for _, d := range pass.dirs.all {
 		switch d.kind {
-		case "hotpath", "arena":
-			// marker directives: no argument, no justification needed
-		case "coldpath", "arena-writer", "unsafe-shape":
+		case "hotpath":
+			// marker directive: no argument, no justification needed
+		case "coldpath":
 			if d.why == "" {
 				pass.Reportf(d.pos, "//repro:%s requires a justification (//repro:%s <why>)", d.kind, d.kind)
 			}

@@ -27,5 +27,5 @@ func badKind() {}
 // want-prev "requires a justification"
 func unjustified() {}
 
-//repro:arena-writer compile publish path, bank is private until return
-func justifiedWriter() {}
+//repro:coldpath error exit, fired once per stream
+func justifiedColdpath() {}

@@ -297,3 +297,18 @@ func TestStreamAllocsPerPacket(t *testing.T) {
 			perPacket, st.Allocs, st.Packets)
 	}
 }
+
+// TestAppendIDsZeroAllocs gates the result encoder per call: with a warm
+// buffer, formatting IDs of every width and sign allocates nothing.
+// TestStreamAllocsPerPacket divides by packets, so one allocation per
+// batch would pass it.
+func TestAppendIDsZeroAllocs(t *testing.T) {
+	ids := []int32{0, 7, -1, 10, 99, 1234, 56789, 2147483647, -2147483648}
+	buf := appendIDs(nil, ids)
+	if got, want := string(buf), "0\n7\n-1\n10\n99\n1234\n56789\n2147483647\n-2147483648\n"; got != want {
+		t.Fatalf("appendIDs = %q, want %q", got, want)
+	}
+	if a := testing.AllocsPerRun(100, func() { buf = appendIDs(buf[:0], ids) }); a != 0 {
+		t.Fatalf("appendIDs allocates %.1f times per call", a)
+	}
+}

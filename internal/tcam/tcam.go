@@ -45,7 +45,6 @@ func (e *Entry) Matches(p rule.Packet) bool {
 // Model is a TCAM loaded with an expanded ruleset.
 type Model struct {
 	entries []Entry
-	rules   int
 }
 
 // ExpansionStats describes the range-to-prefix blow-up of a ruleset.
@@ -70,7 +69,7 @@ func Build(rs rule.RuleSet) (*Model, ExpansionStats, error) {
 	if err := rs.Validate(); err != nil {
 		return nil, ExpansionStats{}, fmt.Errorf("tcam: %w", err)
 	}
-	m := &Model{rules: len(rs)}
+	m := &Model{}
 	st := ExpansionStats{Rules: len(rs)}
 	for i := range rs {
 		n, err := m.addRule(&rs[i])
@@ -169,12 +168,6 @@ func (m *Model) Classify(p rule.Packet) int {
 	}
 	return -1
 }
-
-// Entries returns the number of ternary entries in use.
-func (m *Model) Entries() int { return len(m.entries) }
-
-// NumRules returns the original ruleset size.
-func (m *Model) NumRules() int { return m.rules }
 
 // ---- Device power/throughput model ----
 
