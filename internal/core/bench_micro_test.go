@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,6 +86,31 @@ func BenchmarkBuildHyperCuts1000(b *testing.B) {
 		if _, err := Build(rs, DefaultConfig(HyperCuts)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuild times the default HyperCuts build on the rulesets the
+// benchmark's workloads load: fw1@2500 (fw2k5-nocache), acl1@10k (the
+// acl10k workloads) and acl1@2191 (acl2k-hwmodel).
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range []struct {
+		prof func() classbench.Profile
+		name string
+		n    int
+	}{
+		{classbench.FW1, "fw1", 2500},
+		{classbench.ACL1, "acl1", 10000},
+		{classbench.ACL1, "acl1", 2191},
+	} {
+		rs := classbench.Generate(c.prof(), c.n, 2008)
+		b.Run(fmt.Sprintf("%s@%d", c.name, c.n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(rs, DefaultConfig(HyperCuts)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

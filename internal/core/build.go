@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cutgrid"
 	"repro/internal/rule"
 )
 
@@ -93,8 +94,8 @@ type builder struct {
 	// idxBuf is the enumerateBox odometer, hoisted out of the per-rule
 	// distribution loop.
 	idxBuf [rule.NumDims]int
-	// gridBuf is evalMulti's child-population histogram (<= MaxCuts).
-	gridBuf []int32
+	// grid counts rules per child for maxChild1D and evalMulti.
+	grid cutgrid.Grid
 }
 
 // grow returns b resized to n, reallocating only when capacity is short.
@@ -479,27 +480,15 @@ func (b *builder) spaceMeasure(rlo, rhi []uint8, avail, k int) int64 {
 	return total + int64(1)<<uint(k)
 }
 
+// maxChild1D is the largest child population of a 1-D cut with 2^k cuts.
 func (b *builder) maxChild1D(rlo, rhi []uint8, avail, k int) int {
-	np := 1 << uint(k)
 	sh := uint(avail - k)
-	b.gridBuf = grow(b.gridBuf, np+1)
-	diff := b.gridBuf[:np+1]
-	for i := range diff {
-		diff[i] = 0
-	}
+	b.grid.Reset([]int{1 << uint(k)})
 	for i := range rlo {
-		diff[rlo[i]>>sh]++
-		diff[(rhi[i]>>sh)+1]--
-		b.stats.RuleChildOps++
+		b.grid.AddSpan(int(rlo[i]>>sh), int(rhi[i]>>sh))
 	}
-	maxC, cur := int32(0), int32(0)
-	for i := 0; i < np; i++ {
-		cur += diff[i]
-		if cur > maxC {
-			maxC = cur
-		}
-	}
-	return int(maxC)
+	b.stats.RuleChildOps += int64(len(rlo))
+	return b.grid.Max()
 }
 
 // chooseHyperCuts picks the multi-dimensional cut per the modified rule:
@@ -571,27 +560,19 @@ func (b *builder) chooseHyperCuts(ids []int32, prefixLen [rule.NumDims]int, pref
 	var dfs func(i, sumBits int)
 	dfs = func(i, sumBits int) {
 		if i == len(cand) {
+			// minTotalBits >= 1, so at least one dimension is cut.
 			if sumBits < minTotalBits {
 				return
 			}
-			var dims, bits []int
-			for j := range cand {
-				if cur[j] > 0 {
-					dims = append(dims, cand[j].d)
-					bits = append(bits, cur[j])
-				}
-			}
-			if dims == nil {
-				return
-			}
-			maxChild, refs := b.evalMulti(cand, cur)
-			b.stats.CutEvaluations++
 			np := 1 << uint(sumBits)
 			// Space budget: combos whose replication exceeds spfac*n
-			// are refused (the explosion defence the original space
-			// measure provided; nodes with only over-budget cuts become
-			// overflow leaves searched at 30 rules/cycle).
-			if refs+int64(np) > int64(b.cfg.Spfac)*int64(n) {
+			// (refs+np > spfac*n) are refused (the explosion defence the
+			// original space measure provided; nodes with only
+			// over-budget cuts become overflow leaves searched at 30
+			// rules/cycle).
+			maxChild, refs, ok := b.evalMulti(cand, cur, int64(b.cfg.Spfac)*int64(n)-int64(np))
+			b.stats.CutEvaluations++
+			if !ok {
 				return
 			}
 			better := maxChild < bestMax ||
@@ -599,7 +580,13 @@ func (b *builder) chooseHyperCuts(ids []int32, prefixLen [rule.NumDims]int, pref
 				(maxChild == bestMax && refs == bestRefs && np < bestNp)
 			if better {
 				bestMax, bestRefs, bestNp = maxChild, refs, np
-				bestDims, bestBits = dims, bits
+				bestDims, bestBits = nil, nil
+				for j := range cand {
+					if cur[j] > 0 {
+						bestDims = append(bestDims, cand[j].d)
+						bestBits = append(bestBits, cur[j])
+					}
+				}
 			}
 			return
 		}
@@ -637,111 +624,46 @@ type dimInfo struct {
 	rhi   []uint8
 }
 
-// evalMulti computes, for a candidate multi-dimensional cut, the largest
-// child population (primary selection criterion, as stated by the paper)
-// and the total number of rule references the cut would create (the
-// replication cost, used to break ties in favour of less storage).
-func (b *builder) evalMulti(cand []dimInfo, bits []int) (maxChild int, totalRefs int64) {
-	// Active dimensions.
-	type active struct {
-		idx int // into cand
-		k   int
-	}
-	var actArr [rule.NumDims]active
-	act := actArr[:0]
-	np := 1
+// evalMulti evaluates one cut: bits[i] cuts of candidate dimension i.
+// The space budget comes first. The single pass over the node's rules
+// adds each rule's box volume to refs, the number of rule references the
+// cut would create, and refuses the cut (ok false) as soon as refs
+// exceeds limit: refs only grows, so the rest of the pass and the grid's
+// prefix sums could not rescue it. An accepted cut also returns its
+// largest child population, the primary selection criterion. The
+// statistics count the whole evaluation either way: BuildStats measure
+// the paper algorithm's logical work, which the SA-1100 model prices as
+// build energy (Table 3), not the host's shortcuts through it.
+func (b *builder) evalMulti(cand []dimInfo, bits []int, limit int64) (maxChild int, refs int64, ok bool) {
+	var actArr [rule.NumDims]*dimInfo
+	var shArr [rule.NumDims]uint
+	var sizeArr [rule.NumDims]int
+	act, sh, sizes := actArr[:0], shArr[:0], sizeArr[:0]
 	for i := range cand {
 		if bits[i] > 0 {
-			act = append(act, active{i, bits[i]})
-			np <<= uint(bits[i])
+			act = append(act, &cand[i])
+			sh = append(sh, uint(cand[i].avail-bits[i]))
+			sizes = append(sizes, 1<<uint(bits[i]))
 		}
 	}
-	if np == 1 {
-		return 0, 0
-	}
-	var strideArr, dimArr [rule.NumDims]int
-	strides := strideArr[:len(act)]
-	s := 1
-	for i := len(act) - 1; i >= 0; i-- {
-		strides[i] = s
-		s <<= uint(act[i].k)
-	}
-	dims := dimArr[:len(act)]
-	for i, a := range act {
-		dims[i] = 1 << uint(a.k)
-	}
-	b.gridBuf = grow(b.gridBuf, np)
-	grid := b.gridBuf[:np]
-	for i := range grid {
-		grid[i] = 0
-	}
 	n := len(cand[0].rlo)
+	b.stats.RuleChildOps += int64(n * len(act))
+	b.grid.Reset(sizes)
 	var spanArr [rule.NumDims][2]int
 	spans := spanArr[:len(act)]
 	for r := 0; r < n; r++ {
 		vol := int64(1)
-		for i, a := range act {
-			di := cand[a.idx]
-			sh := uint(di.avail - a.k)
-			spans[i] = [2]int{int(di.rlo[r] >> sh), int(di.rhi[r] >> sh)}
-			vol *= int64(spans[i][1] - spans[i][0] + 1)
-			b.stats.RuleChildOps++
+		for i, di := range act {
+			lo, hi := int(di.rlo[r]>>sh[i]), int(di.rhi[r]>>sh[i])
+			spans[i] = [2]int{lo, hi}
+			vol *= int64(hi - lo + 1)
 		}
-		totalRefs += vol
-		addBox(grid, strides, dims, spans)
+		if refs += vol; refs > limit {
+			return 0, refs, false
+		}
+		b.grid.AddBox(spans)
 	}
-	for i := range act {
-		prefixSumAxis(grid, strides, dims, i)
-	}
-	maxC := int32(0)
-	for _, v := range grid {
-		if v > maxC {
-			maxC = v
-		}
-	}
-	return int(maxC), totalRefs
-}
-
-// addBox and prefixSumAxis mirror the HyperCuts helpers: +1 over a
-// hyper-rectangle via inclusion-exclusion, then prefix sums per axis.
-func addBox(grid []int32, strides, dims []int, spans [][2]int) {
-	k := len(spans)
-	for corner := 0; corner < 1<<uint(k); corner++ {
-		idx := 0
-		sign := int32(1)
-		valid := true
-		for i := 0; i < k; i++ {
-			if corner&(1<<uint(i)) == 0 {
-				idx += spans[i][0] * strides[i]
-			} else {
-				hi := spans[i][1] + 1
-				if hi >= dims[i] {
-					valid = false
-					break
-				}
-				idx += hi * strides[i]
-				sign = -sign
-			}
-		}
-		if valid {
-			grid[idx] += sign
-		}
-	}
-}
-
-func prefixSumAxis(grid []int32, strides, dims []int, a int) {
-	stride := strides[a]
-	n := dims[a]
-	for base := 0; base < len(grid); base++ {
-		if (base/stride)%n != 0 {
-			continue
-		}
-		acc := int32(0)
-		for j := 0; j < n; j++ {
-			acc += grid[base+j*stride]
-			grid[base+j*stride] = acc
-		}
-	}
+	return b.grid.Max(), refs, true
 }
 
 // distribute builds per-child rule lists for the chosen cut. It also

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cutgrid"
 	"repro/internal/rule"
 )
 
@@ -311,7 +312,7 @@ func (t *Tree) chooseCombo(ids []int32, region [rule.NumDims]rule.Range) []DimCu
 					combo = append(combo, DimCut{Dim: d, NumCuts: 1 << cur[j], Lo: region[d].Lo, Hi: region[d].Hi})
 				}
 			}
-			maxChild := t.maxChildCount(ids, combo, np)
+			maxChild := t.maxChildCount(ids, combo)
 			t.stats.CutEvaluations++
 			if maxChild < bestMax || (maxChild == bestMax && np < bestNp) {
 				bestMax, bestNp = maxChild, np
@@ -372,14 +373,14 @@ func childSpan(f, r rule.Range, np int) (c1, c2 int, ok bool) {
 }
 
 // maxChildCount computes the largest child population for a multi-dim cut
-// using a k-dimensional difference grid (k = len(combo)).
-func (t *Tree) maxChildCount(ids []int32, combo []DimCut, np int) int {
-	strides := comboStrides(combo)
-	dims := make([]int, len(combo))
+// on a k-dimensional difference grid (k = len(combo)).
+func (t *Tree) maxChildCount(ids []int32, combo []DimCut) int {
+	sizes := make([]int, len(combo))
 	for i, c := range combo {
-		dims[i] = c.NumCuts
+		sizes[i] = c.NumCuts
 	}
-	grid := make([]int32, np)
+	var grid cutgrid.Grid
+	grid.Reset(sizes)
 	spans := make([][2]int, len(combo))
 	for _, id := range ids {
 		okAll := true
@@ -395,19 +396,9 @@ func (t *Tree) maxChildCount(ids []int32, combo []DimCut, np int) int {
 		if !okAll {
 			continue
 		}
-		addBox(grid, strides, dims, spans)
+		grid.AddBox(spans)
 	}
-	// k-dimensional inclusive prefix sums, then max.
-	for i := range combo {
-		prefixSumAxis(grid, strides, dims, i)
-	}
-	maxC := int32(0)
-	for _, v := range grid {
-		if v > maxC {
-			maxC = v
-		}
-	}
-	return int(maxC)
+	return grid.Max()
 }
 
 // comboStrides returns mixed-radix strides: child index = sum idx_i*stride_i.
@@ -419,52 +410,6 @@ func comboStrides(combo []DimCut) []int {
 		s *= combo[i].NumCuts
 	}
 	return strides
-}
-
-// addBox adds +1 over the hyper-rectangle described by spans using
-// inclusion-exclusion corner updates on the difference grid.
-func addBox(grid []int32, strides, dims []int, spans [][2]int) {
-	k := len(spans)
-	for corner := 0; corner < 1<<k; corner++ {
-		idx := 0
-		sign := int32(1)
-		valid := true
-		for i := 0; i < k; i++ {
-			if corner&(1<<i) == 0 {
-				idx += spans[i][0] * strides[i]
-			} else {
-				hi := spans[i][1] + 1
-				if hi >= dims[i] {
-					valid = false
-					break
-				}
-				idx += hi * strides[i]
-				sign = -sign
-			}
-		}
-		if valid {
-			grid[idx] += sign
-		}
-	}
-}
-
-// prefixSumAxis performs an in-place inclusive prefix sum along axis a.
-func prefixSumAxis(grid []int32, strides, dims []int, a int) {
-	stride := strides[a]
-	n := dims[a]
-	// Iterate over all lines along axis a.
-	total := len(grid)
-	for base := 0; base < total; base++ {
-		// base is a line start iff its coordinate along a is 0.
-		if (base/stride)%n != 0 {
-			continue
-		}
-		acc := int32(0)
-		for j := 0; j < n; j++ {
-			acc += grid[base+j*stride]
-			grid[base+j*stride] = acc
-		}
-	}
 }
 
 // distribute assigns rules to children of the multi-dimensional cut.

@@ -238,7 +238,7 @@ func TestMaxChildCountAgainstBruteForce(t *testing.T) {
 		{Dim: 0, NumCuts: 4, Lo: 0, Hi: ^uint32(0)},
 		{Dim: 1, NumCuts: 2, Lo: 0, Hi: ^uint32(0)},
 	}
-	got := tr.maxChildCount(ids, combo, 8)
+	got := tr.maxChildCount(ids, combo)
 
 	// Brute force via distribute.
 	children := tr.distribute(ids, combo, 8)
