@@ -373,7 +373,7 @@ func childSpan(f, r rule.Range, np int) (c1, c2 int, ok bool) {
 }
 
 // maxChildCount computes the largest child population for a multi-dim cut
-// on a k-dimensional difference grid (k = len(combo)).
+// using a k-dimensional difference grid (k = len(combo)).
 func (t *Tree) maxChildCount(ids []int32, combo []DimCut) int {
 	sizes := make([]int, len(combo))
 	for i, c := range combo {
